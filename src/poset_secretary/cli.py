@@ -15,7 +15,8 @@ Worker count is deliberately not a parameter of the output: results are
 identical for any parallel layout.
 
 Exit codes: 0 ok / checks passed, 1 verification failure, 2 source parse
-error, 3 invalid parameter, 4 over an exact-enumeration cap.
+error, 3 invalid parameter, 4 over a size cap (exact enumeration, or the
+n <= 64 simulation cap).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     GeneratorSpecError,
     NotMaximalError,
     PosetFileError,
-    PosetSecretaryError,
+    SourceError,
     TooLargeError,
     ZeroTrialsError,
 )
@@ -66,10 +67,6 @@ _FAMILIES = ("chain", "antichain", "wedge", "boolean", "forest", "random")
 LAST_TAG_TIMES = (0.5, 1.0)
 PINNED_TIMES = (0.25, 0.5, 1.0)
 MONOTONICITY_GRID = tuple(Fraction(k, 16) for k in range(17))
-
-
-class SourceError(PosetSecretaryError):
-    """The poset source string could not be resolved."""
 
 
 def _load_poset(source: str) -> Poset:

@@ -14,7 +14,7 @@ class CycleError(PosetSecretaryError):
 
 
 class TooLargeError(PosetSecretaryError):
-    """Instance exceeds the exact-enumeration cap."""
+    """Instance exceeds a size cap: exact enumeration or simulation."""
 
 
 class NotMaximalError(PosetSecretaryError, ValueError):
@@ -35,3 +35,7 @@ class PosetFileError(PosetSecretaryError):
 
 class GeneratorSpecError(PosetSecretaryError):
     """A generator spec string (family:params) could not be parsed."""
+
+
+class SourceError(PosetSecretaryError):
+    """The poset source string could not be resolved."""

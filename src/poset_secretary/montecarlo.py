@@ -209,6 +209,7 @@ def threshold_sweep(
     Common random numbers: the tag matrices are computed once per chunk and
     re-thresholded, so sweep curves are smooth in tau by construction.
     """
+    engine.check_sim_cap(p.n)
     taus = tuple(float(t) for t in taus)
     for tau in taus:
         if not 0.0 <= tau < 1.0:
@@ -261,6 +262,7 @@ def verify_tag_marginals(
     Two-sided exact binomial test per position; the first position is tagged
     with probability one and serves as a sanity anchor.
     """
+    engine.check_sim_cap(p.n)
     if min_per_position and trials < p.n * min_per_position:
         raise ValueError(
             f"need trials >= {p.n * min_per_position} for {p.n} positions "
@@ -376,6 +378,7 @@ def verify_tag_independence(
     reported as trivially independent.  With ``triples=True`` (n <= 12) each
     position triple is additionally tested against its exact product law.
     """
+    engine.check_sim_cap(p.n)
     if triples and p.n > JOINT_CHECK_CAP:
         raise TooLargeError(f"triple checks tabulate 2^n patterns; n={p.n} exceeds {JOINT_CHECK_CAP}")
     if triples:
@@ -454,6 +457,7 @@ def verify_last_tag_uniform(
     Conditioning is on at least one arrival before t (the first arrival is
     always tagged, so the statistic then exists).
     """
+    engine.check_sim_cap(p.n)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
     chunks = _run_chunks(partial(_last_tag_chunk, p, t, master_seed), trials, workers)
@@ -486,6 +490,7 @@ def verify_tagged_given_arrival(
     when the frequency lands within four binomial standard errors of the
     exact value.
     """
+    engine.check_sim_cap(p.n)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if not 0 <= x < p.n:

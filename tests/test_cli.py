@@ -161,6 +161,18 @@ class TestSweep:
 
 
 class TestErrorTaxonomy:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "antichain:65", "--trials", "10"),
+            ("sweep", "antichain:65", "--taus", "0.5", "--trials", "10"),
+            ("verify", "antichain:65", "--trials", "10"),
+        ],
+    )
+    def test_over_simulation_cap_is_exit_4(self, run, argv):
+        code, out, err = run(*argv)
+        assert code == 4 and "cap" in err and out == ""
+
     def test_zero_trials_is_exit_3(self, run):
         assert run("simulate", "wedge", "--trials", "0")[0] == 3
 

@@ -9,6 +9,7 @@ import pytest
 
 from poset_secretary.engine import (
     CHUNK_TRIALS,
+    SIM_CAP,
     batch_accept,
     batch_greedy_maximum,
     batch_last_tag_time,
@@ -17,9 +18,10 @@ from poset_secretary.engine import (
     chunk_uniforms,
     trial_for_index,
 )
+from poset_secretary.errors import TooLargeError
 from poset_secretary.families import antichain, boolean_lattice, chain, random_poset, wedge
 from poset_secretary.greedy import WeightRanking, greedy_maximum
-from poset_secretary.posets import from_relations
+from poset_secretary.posets import Poset, from_relations
 from poset_secretary.simulate import Trial, run_strategy, tag_sequence
 
 POSETS = [
@@ -36,6 +38,25 @@ POSETS = [
 def batches(n, count, seed):
     rng = np.random.default_rng(seed)
     return rng.random((count, n)), rng.random((count, n))
+
+
+def relabelled(p, seed):
+    """The same order under a random relabelling, so relations run both ways
+    between low and high element bits."""
+    perm = np.random.default_rng(seed).permutation(p.n)
+    lt = np.zeros_like(p.lt)
+    lt[np.ix_(perm, perm)] = p.lt
+    return Poset(p.n, lt)
+
+
+def assert_matches_reference(p, times, weights):
+    aorder, tsorted, tagged = batch_tag_matrix(p, times, weights)
+    assert aorder.dtype == np.intp and tagged.dtype == bool
+    for b in range(times.shape[0]):
+        evs = tag_sequence(p, Trial(times[b], weights[b]))
+        assert [e.element for e in evs] == aorder[b].tolist()
+        assert [e.time for e in evs] == tsorted[b].tolist()
+        assert [e.tagged for e in evs] == tagged[b].tolist(), (p, b)
 
 
 class TestChunking:
@@ -83,19 +104,60 @@ class TestChunking:
 class TestTagMatrix:
     @pytest.mark.parametrize("p", POSETS)
     def test_matches_per_trial_reference(self, p):
-        times, weights = batches(p.n, 300, seed=p.n * 1000 + 7)
-        aorder, tsorted, tagged = batch_tag_matrix(p, times, weights)
-        for b in range(300):
-            evs = tag_sequence(p, Trial(times[b], weights[b]))
-            assert [e.element for e in evs] == aorder[b].tolist()
-            assert [e.time for e in evs] == pytest.approx(tsorted[b].tolist())
-            assert [e.tagged for e in evs] == tagged[b].tolist()
+        assert_matches_reference(p, *batches(p.n, 300, seed=p.n * 1000 + 7))
 
     def test_first_arrival_column_always_tagged(self):
         p = random_poset(6, 0.5, seed=8)
         times, weights = batches(6, 500, seed=1)
         _, _, tagged = batch_tag_matrix(p, times, weights)
         assert tagged[:, 0].all()
+
+
+class TestBitmaskKernel:
+    """The one-bit-per-element kernel against the per-trial reference, across
+    mask dtype boundaries, sub-batch boundaries and ties."""
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63, 64])
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.8])
+    def test_dtype_boundaries(self, n, density):
+        p = relabelled(random_poset(n, density, seed=n), seed=n + 1)
+        rows = 150 if n <= 17 else 60
+        assert_matches_reference(p, *batches(n, rows, seed=n * 7 + int(density * 10)))
+
+    @pytest.mark.parametrize("p", [chain(64), antichain(64), relabelled(chain(64), seed=3)])
+    def test_widest_families(self, p):
+        assert_matches_reference(p, *batches(p.n, 25, seed=11))
+
+    @pytest.mark.parametrize("rows", [1, 2047, 2049])
+    def test_row_counts_off_the_sub_batch(self, rows):
+        p = relabelled(random_poset(6, 0.4, seed=9), seed=2)
+        assert_matches_reference(p, *batches(6, rows, seed=rows))
+
+    @pytest.mark.parametrize("n", [5, 9, 20])
+    def test_tied_times_and_weights_break_by_index(self, n):
+        rng = np.random.default_rng(n)
+        times = np.floor(rng.random((400, n)) * 4) / 4
+        weights = np.floor(rng.random((400, n)) * 3) / 3
+        times[:5] = 0.5  # rows where every arrival ties
+        weights[5:10] = 0.25
+        p = relabelled(random_poset(n, 0.4, seed=n), seed=n)
+        assert_matches_reference(p, times, weights)
+
+    def test_slice_across_sub_batch_boundary_matches_full_chunk(self):
+        p = relabelled(random_poset(12, 0.3, seed=4), seed=4)
+        times, weights = chunk_uniforms(p.n, 5, 0, 4100)
+        full = batch_tag_matrix(p, times, weights)
+        for lo, hi in [(2000, 2100), (2047, 2049), (4095, 4100)]:
+            part = batch_tag_matrix(p, times[lo:hi], weights[lo:hi])
+            for got, want in zip(part, full):
+                assert np.array_equal(got, want[lo:hi])
+
+
+class TestSimCap:
+    def test_over_cap_raises_naming_the_cap(self):
+        times, weights = batches(SIM_CAP + 1, 1, seed=0)
+        with pytest.raises(TooLargeError, match="cap"):
+            batch_tag_matrix(antichain(SIM_CAP + 1), times, weights)
 
 
 class TestBatchAccept:

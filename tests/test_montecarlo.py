@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from poset_secretary import engine
+from poset_secretary.engine import SIM_CAP
 from poset_secretary.errors import NotMaximalError, TooLargeError, ZeroTrialsError
 from poset_secretary.families import antichain, boolean_lattice, chain, random_poset, wedge
 from poset_secretary.greedy import mu_exact
@@ -26,6 +28,27 @@ from poset_secretary.montecarlo import (
 )
 
 TRIALS = 40_000
+
+
+class TestSimulationCap:
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda p: estimate_success(p, trials=10),
+            lambda p: threshold_sweep(p, [0.2, 0.5], trials=10),
+            lambda p: verify_tag_marginals(p, trials=10),
+            lambda p: verify_tag_independence(p, trials=10),
+            lambda p: verify_last_tag_uniform(p, 0.5, trials=10),
+            lambda p: verify_tagged_given_arrival(p, 0, 0.5, trials=10),
+        ],
+    )
+    def test_refused_before_any_chunk_is_drawn(self, check, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a chunk above the simulation cap")
+
+        monkeypatch.setattr(engine, "chunk_uniforms", no_draws)
+        with pytest.raises(TooLargeError, match="cap"):
+            check(antichain(SIM_CAP + 1))
 
 
 class TestWilson:
