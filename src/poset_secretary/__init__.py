@@ -61,6 +61,7 @@ from .montecarlo import (
     estimate_success,
     threshold_sweep,
     verify_last_tag_uniform,
+    verify_lemmas,
     verify_tag_independence,
     verify_tag_joint,
     verify_tag_marginals,
@@ -124,6 +125,7 @@ __all__ = [
     "threshold_sweep",
     "transitive_reduction",
     "verify_last_tag_uniform",
+    "verify_lemmas",
     "verify_tag_independence",
     "verify_tag_joint",
     "verify_tag_marginals",

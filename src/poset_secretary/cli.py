@@ -39,17 +39,14 @@ from .errors import (
     ZeroTrialsError,
 )
 from .families import parse_generator_spec
-from .greedy import MU_T_CAP, check_mu_monotonicity, mu_exact, mu_t_exact
+from .greedy import mu_exact, mu_t_exact
 from .montecarlo import (
     ALPHA_DEFAULT,
+    LEMMAS,
     TRIALS_DEFAULT,
-    LemmaReport,
     estimate_success,
     threshold_sweep,
-    verify_last_tag_uniform,
-    verify_tag_independence,
-    verify_tag_marginals,
-    verify_tagged_given_arrival,
+    verify_lemmas,
 )
 from .posetfile import parse_poset_text
 from .posets import Poset
@@ -62,11 +59,6 @@ EXIT_BAD_PARAM = 3
 EXIT_OVER_CAP = 4
 
 _FAMILIES = ("chain", "antichain", "wedge", "boolean", "forest", "random")
-
-# per-check defaults for `verify`
-LAST_TAG_TIMES = (0.5, 1.0)
-PINNED_TIMES = (0.25, 0.5, 1.0)
-MONOTONICITY_GRID = tuple(Fraction(k, 16) for k in range(17))
 
 
 def _load_poset(source: str) -> Poset:
@@ -175,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verify the strategy's distributional laws")
     common(sp)
-    sp.add_argument("--lemma", choices=("2", "3", "4", "5", "all"), default="all",
+    sp.add_argument("--lemma", choices=(*LEMMAS, "all"), default="all",
                     help="2: tag marginals+independence; 3: last-tag uniformity; "
                          "4: pinned-arrival tag probability vs exact mu_t; "
                          "5: exact mu_t >= mu monotonicity (default all)")
@@ -237,40 +229,12 @@ def _cmd_exact_mu(args) -> int:
     return EXIT_OK
 
 
-def _verify_reports(p: Poset, lemma: str, trials: int, seed: int, alpha: float, workers):
-    reports = []
-    if lemma in ("2", "all"):
-        reports += verify_tag_marginals(p, trials, seed, alpha=alpha, workers=workers)
-        reports += verify_tag_independence(p, trials, seed, alpha=alpha, workers=workers)
-    if lemma in ("3", "all"):
-        for t in LAST_TAG_TIMES:
-            reports.append(verify_last_tag_uniform(p, t, trials, seed, alpha=alpha, workers=workers))
-    if lemma in ("4", "all"):
-        if p.n > MU_T_CAP:
-            raise TooLargeError(f"pinned-arrival check needs n <= {MU_T_CAP}, got {p.n}")
-        for x in sorted(p.maximal):
-            for t in PINNED_TIMES:
-                reports.append(verify_tagged_given_arrival(p, x, t, trials, seed, workers=workers))
-    if lemma in ("5", "all"):
-        mono = check_mu_monotonicity(p, MONOTONICITY_GRID)
-        reports.append(
-            LemmaReport(
-                statistic="mu_monotonicity",
-                observed=float(len(mono.violations)),
-                reference="mu_t(x) >= mu(x) at every grid point",
-                p_value=None,
-                passed=mono.ok,
-                sample_size=mono.checks,
-            )
-        )
-    return reports
-
-
 def _cmd_verify(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {args.alpha}")
     p = _load_poset(args.source)
-    reports = _verify_reports(p, args.lemma, args.trials, args.seed, args.alpha, args.workers)
+    lemmas = LEMMAS if args.lemma == "all" else (args.lemma,)
+    reports = verify_lemmas(p, lemmas, args.trials, args.seed, args.alpha, args.workers)
     ok = all(r.passed for r in reports)
     command = (f"poset-secretary verify {args.source} --lemma {args.lemma} "
                f"--trials {args.trials} --seed {args.seed} --alpha {args.alpha!r} "

@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TooLargeError
+from .greedy import greedy_scan
 from .posets import Poset
 from .simulate import Trial
 
@@ -233,9 +234,4 @@ def batch_last_tag_time(tsorted: np.ndarray, tagged: np.ndarray, t: float) -> np
 
 def batch_greedy_maximum(lt: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Greedy maximum of the full poset for a batch of weight vectors."""
-    worder = _stable_argsort(weights)
-    z = worder[:, 0]
-    for w in range(1, lt.shape[0]):
-        e = worder[:, w]
-        z = np.where(lt[z, e], e, z)
-    return z
+    return greedy_scan(lt, _stable_argsort(weights))

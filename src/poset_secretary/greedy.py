@@ -35,6 +35,7 @@ __all__ = [
     "MuTable",
     "greedy_chain",
     "greedy_maximum",
+    "greedy_scan",
     "is_tagged",
     "mu_exact",
     "mu_t_exact",
@@ -141,13 +142,37 @@ def is_tagged(p_x: Poset, x_local: int, w: WeightRanking) -> bool:
     return greedy_maximum(p_x, w) == x_local
 
 
+def greedy_scan(lt: np.ndarray, order: np.ndarray, member: np.ndarray | None = None) -> np.ndarray:
+    """Greedy maximum per row of a (rows, n) weight order, lightest first.
+
+    One lockstep scan over the order: the running element jumps to the next
+    element that lies strictly above it.  That walks the greedy chain,
+    because chain weights strictly increase.  With a (rows, n) boolean
+    ``member`` mask, row b scans only the elements e with member[b, e], which
+    gives the greedy maximum of that induced subposet; a row with no member
+    returns n.
+    """
+    n = lt.shape[0]
+    # row n is a virtual bottom below every element, so the first member
+    # scanned always takes over; flat indices are much faster than 2-D ones
+    above = np.vstack([lt, np.ones((1, n), dtype=bool)]).ravel()
+    cols = np.ascontiguousarray(order.T)
+    if member is not None:
+        member = np.ascontiguousarray(np.take_along_axis(member, order, axis=1).T)
+    z = np.full(cols.shape[1], n, dtype=np.intp)
+    for w in range(n):
+        go = above[z * n + cols[w]]
+        if member is not None:
+            go &= member[w]
+        z = np.where(go, cols[w], z)
+    return z
+
+
 def _greedy_max_counts(lt: np.ndarray) -> np.ndarray:
     """Count, per element, the rankings whose greedy chain ends there.
 
-    Enumerates all n! rankings.  Each permutation is read as the weight order
-    (first entry lightest); a single left-to-right scan that jumps whenever
-    the next element lies strictly above the current one reproduces the
-    greedy chain, because chain weights strictly increase.
+    Enumerates all n! rankings; each permutation is read as the weight order
+    (first entry lightest) and goes through greedy_scan.
     """
     n = lt.shape[0]
     counts = np.zeros(n, dtype=np.int64)
@@ -156,11 +181,7 @@ def _greedy_max_counts(lt: np.ndarray) -> np.ndarray:
         block = list(itertools.islice(perms, _PERM_BATCH))
         if not block:
             return counts
-        batch = np.asarray(block, dtype=np.int8)
-        z = batch[:, 0].astype(np.intp)
-        for j in range(1, n):
-            e = batch[:, j].astype(np.intp)
-            z = np.where(lt[z, e], e, z)
+        z = greedy_scan(lt, np.asarray(block, dtype=np.int8))
         counts += np.bincount(z, minlength=n)
 
 

@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
+from poset_secretary import engine
 from poset_secretary.cli import main
 
 
@@ -135,6 +137,37 @@ class TestVerify:
 
     def test_bad_alpha_is_exit_3(self, run):
         assert run("verify", "wedge", "--alpha", "0", *self.ARGS)[0] == 3
+
+    def test_every_lemma_is_validated_before_any_draw(self, run, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a chunk before every lemma was validated")
+
+        monkeypatch.setattr(engine, "chunk_uniforms", no_draws)
+        code, out, err = run("verify", "antichain:9")
+        assert code == 4 and out == "" and "n <= 8" in err
+        # the lemma-2 trials floor is checked first
+        assert run("verify", "antichain:9", "--trials", "10")[0] == 3
+
+
+class TestGoldenBytes:
+    """Report bytes pinned by digest: a faster or restructured path must not move them."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("verify", "random:8:0.3:42", "--trials", "20000", "--seed", "3"),
+             "f3be31d5651498f3b241e0ece6369d4e31660f4577be4af87198bf2f40218ca0"),
+            (("verify", "random:8:0.3:42", "--trials", "20000", "--seed", "3", "--format", "csv"),
+             "380285b9a98789cfc53022bd44fb700445028868a3fb9bcd6d6feae68bc3ddbe"),
+            (("sweep", "chain:5", "--taus", "0.1,0.3679,0.7", "--trials", "20000",
+              "--seed", "3", "--format", "csv"),
+             "e30ad01e03a74670d1bfc5e1a326c0f28c0ba6c38f299053f49e1785d65e273d"),
+        ],
+    )
+    def test_stdout_digest(self, run, argv, digest):
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSweep:

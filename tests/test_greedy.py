@@ -21,6 +21,7 @@ from poset_secretary.greedy import (
     check_mu_monotonicity,
     greedy_chain,
     greedy_maximum,
+    greedy_scan,
     is_tagged,
     mu_exact,
     mu_t_exact,
@@ -273,6 +274,28 @@ def test_single_scan_equals_recursion(p, rnd):
         if p.less(z, e):
             z = e
     assert z == greedy_maximum(p, w)
+
+
+@pytest.mark.parametrize("p", small_posets())
+def test_greedy_scan_matches_recursion_on_members(p):
+    """The lockstep scan, unmasked and masked, against the recursion on the
+    full poset and on the induced subposet of each row's members."""
+    rng = np.random.default_rng(p.n)
+    order = np.array([rng.permutation(p.n) for _ in range(200)])
+    member = rng.random((200, p.n)) < 0.6
+    member[:20] = False  # rows with no member at all
+    rank = np.argsort(order, axis=1)
+    full = greedy_scan(p.lt, order)
+    masked = greedy_scan(p.lt, order, member)
+    for b in range(200):
+        assert full[b] == greedy_maximum(p, WeightRanking(tuple(rank[b])))
+        members = np.flatnonzero(member[b])
+        if members.size == 0:
+            assert masked[b] == p.n
+            continue
+        sub = induced_subposet(p, SubsetMap(tuple(members)))
+        sub_rank = np.argsort(np.argsort(rank[b][members]))
+        assert masked[b] == members[greedy_maximum(sub, WeightRanking(tuple(sub_rank)))]
 
 
 @given(posets_strategy)

@@ -10,22 +10,28 @@ import numpy as np
 import pytest
 
 from poset_secretary import engine
-from poset_secretary.engine import SIM_CAP
+from poset_secretary.engine import CHUNK_TRIALS, SIM_CAP, batch_tag_matrix
 from poset_secretary.errors import NotMaximalError, TooLargeError, ZeroTrialsError
 from poset_secretary.families import antichain, boolean_lattice, chain, random_poset, wedge
 from poset_secretary.greedy import mu_exact
 from poset_secretary.montecarlo import (
+    LAST_TAG_TIMES,
+    LEMMAS,
+    PINNED_TIMES,
     Estimate,
+    _pinned_tags,
     empirical_greedy_max,
     estimate_success,
     threshold_sweep,
     verify_last_tag_uniform,
+    verify_lemmas,
     verify_tag_independence,
     verify_tag_joint,
     verify_tag_marginals,
     verify_tagged_given_arrival,
     wilson_interval,
 )
+from poset_secretary.posets import Poset
 
 TRIALS = 40_000
 
@@ -136,9 +142,15 @@ class TestSweep:
         for a, b in zip(rows, rows[1:]):
             assert abs(a.p_hat - b.p_hat) < 0.02
 
-    def test_rejects_empty_and_invalid(self):
+    def test_rejects_empty_and_invalid(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a chunk for an invalid sweep")
+
+        monkeypatch.setattr(engine, "chunk_uniforms", no_draws)
         with pytest.raises(ValueError):
             threshold_sweep(chain(1), [0.2, 1.0], 100)
+        with pytest.raises(ValueError):
+            threshold_sweep(chain(1), [], 100)
 
 
 class TestGreedyMaxSampling:
@@ -195,17 +207,6 @@ class TestIndependence:
         k1 = [r for r in reports if "[j=1," in r.statistic]
         assert k1 and all(r.p_value is None and r.passed for r in k1)
 
-    def test_triples_included_on_request(self):
-        p = antichain(5)
-        plain = verify_tag_independence(p, TRIALS, master_seed=4)
-        full = verify_tag_independence(p, TRIALS, master_seed=4, triples=True)
-        assert len(full) == len(plain) + 4  # C(4,3) triples beyond position 1
-        assert all(r.passed for r in full)
-
-    def test_triples_capped(self):
-        with pytest.raises(TooLargeError):
-            verify_tag_independence(chain(13), 13_000, master_seed=0, triples=True)
-
     def test_joint_pattern_law(self):
         for p in (chain(1), antichain(4), random_poset(5, 0.5, seed=7)):
             rep = verify_tag_joint(p, TRIALS, master_seed=6)
@@ -259,6 +260,84 @@ class TestPinnedArrival:
             verify_tagged_given_arrival(antichain(2), 0, -0.5, 1000)
         with pytest.raises(IndexError):
             verify_tagged_given_arrival(antichain(2), 5, 0.5, 1000)
+
+
+def pinned_reference(p, x, t, times, weights):
+    """x's tag flag per row with its arrival time replaced by t, read from the
+    full tag matrix at x's arrival."""
+    times = times.copy()
+    times[:, x] = t
+    aorder, _, tagged = batch_tag_matrix(p, times, weights)
+    k = np.argmax(aorder == x, axis=1)
+    return tagged[np.arange(len(k)), k]
+
+
+class TestPinnedScan:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            chain(1),
+            chain(8),
+            Poset(8, chain(8).lt.T.copy()),  # 0 on top: ties at t favour the higher elements
+            antichain(8),
+            random_poset(8, 0.3, seed=1),
+            chain(13),
+            antichain(13),
+            random_poset(13, 0.4, seed=2),
+            chain(64),
+            antichain(64),
+            random_poset(64, 0.1, seed=3),
+        ],
+    )
+    @pytest.mark.parametrize("quantum", [4, 8])
+    def test_masked_scan_matches_full_tag_matrix(self, p, quantum):
+        # times and weights on a grid of 1/quantum, so both kinds of tie occur
+        rng = np.random.default_rng(p.n * quantum)
+        times = np.floor(rng.random((200, p.n)) * quantum) / quantum
+        weights = np.floor(rng.random((200, p.n)) * quantum) / quantum
+        worder = np.argsort(weights, axis=1, kind="stable")
+        for x in sorted(p.maximal):
+            for t in (0.0, 0.25, 0.5, 1.0):
+                got = _pinned_tags(p.lt, x, t, times, worder)
+                want = pinned_reference(p, x, t, times, weights)
+                assert np.array_equal(got, want), (x, t)
+
+
+class TestVerifyLemmas:
+    def test_one_pass_equals_the_per_lemma_functions(self):
+        p = random_poset(6, 0.4, seed=3)
+        trials, seed = CHUNK_TRIALS + 500, 7  # two chunks, so the pool runs
+        want = verify_tag_marginals(p, trials, seed)
+        want += verify_tag_independence(p, trials, seed)
+        want += [verify_last_tag_uniform(p, t, trials, seed) for t in LAST_TAG_TIMES]
+        want += [verify_tagged_given_arrival(p, x, t, trials, seed)
+                 for x in sorted(p.maximal) for t in PINNED_TIMES]
+        got = verify_lemmas(p, LEMMAS, trials, seed, workers=2)
+        assert got[:-1] == want
+        assert got[-1].statistic == "mu_monotonicity" and got[-1].passed
+
+    def test_each_chunk_is_drawn_and_tagged_once(self, monkeypatch):
+        calls = {"chunk_uniforms": 0, "batch_tag_matrix": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(engine, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        verify_lemmas(wedge(), LEMMAS, CHUNK_TRIALS + 1, master_seed=0)
+        assert calls == {"chunk_uniforms": 2, "batch_tag_matrix": 2}
+
+    def test_exact_lemma_alone_draws_nothing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a chunk for an exact-only check")
+
+        monkeypatch.setattr(engine, "chunk_uniforms", no_draws)
+        [rep] = verify_lemmas(wedge(), ["5"], trials=0)
+        assert rep.statistic == "mu_monotonicity" and rep.passed
+
+    def test_unknown_lemma_rejected(self):
+        with pytest.raises(ValueError, match="unknown"):
+            verify_lemmas(wedge(), ["2", "6"], trials=6_000)
 
 
 class TestDeterminismAcrossChunks:
