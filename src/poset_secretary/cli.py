@@ -15,8 +15,8 @@ Worker count is deliberately not a parameter of the output: results are
 identical for any parallel layout.
 
 Exit codes: 0 ok / checks passed, 1 verification failure, 2 source parse
-error, 3 invalid parameter, 4 over a size cap (exact enumeration, or the
-n <= 64 simulation cap).
+error, 3 invalid parameter, 4 over a size cap (n <= 10 for exact mu, n <= 8
+for exact mu_t and the verify checks that use it, n <= 64 for simulation).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ class CycleError(PosetSecretaryError):
 
 
 class TooLargeError(PosetSecretaryError):
-    """Instance exceeds a size cap: exact enumeration or simulation."""
+    """Instance exceeds a size cap: of the exact tables or of simulation."""
 
 
 class NotMaximalError(PosetSecretaryError, ValueError):

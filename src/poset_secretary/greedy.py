@@ -3,31 +3,37 @@
 Given distinct weights on a poset's elements, the greedy chain starts at the
 globally lightest element and repeatedly steps to the lightest element
 strictly above the current one; its terminal element is the greedy maximum.
-Only the weight *ranking* matters, so with i.i.d. continuous weights the
-probability mu(x) that x ends the chain is a rational with denominator n!,
-computed here exactly by enumerating all rankings.
+With i.i.d. Uniform(0, 1) weights, mu(x) is the probability that x ends the
+chain, and mu_t(x) is the same conditioned on x's weight being at most t.
 
-mu_t(x) is mu(x) conditioned on x's weight being at most t.  For maximal x
-it equals the greedy-maximum probability of x after independently discarding
-every other element with probability 1-t, which yields the subset expansion
+Both are computed exactly from one recursion, which is exact because the
+greedy chain is a Markov chain.  Say the chain stands at z with weight w, and
+k_z elements lie above z.  Every condition the walk so far placed on those
+elements says only "heavier than some chain weight <= w", so they are i.i.d.
+Uniform(w, 1), and the chain steps to each of them at weight u with density
+(1-u)^(k_z-1) / (1-w)^k_z.  The density f_y(u) of visiting y at weight u is
+therefore
 
-    mu_t(x) = sum over S containing x of t^(|S|-1) (1-t)^(n-|S|) mu_{P[S]}(x)
+    f_y(u) = (1-u)^(n-1) + sum over z < y of
+             integral from 0 to u of f_z(w) (1-u)^(k_z-1) / (1-w)^k_z dw,
 
-evaluated in exact rational arithmetic with the per-subset tables memoized
-on the poset (keyed by member bitmask).
+where the first term is y being the lightest of all.  In v = 1-u each f_z is
+v^k_z times a polynomial, so each step is a coefficient shift and an
+integration in exact rationals: O(n^3) operations in all.  A maximal x ends
+the chain whenever it is visited, so mu(x) is the integral of f_x over
+[0, 1], and mu_t(x) is (1/t) times its integral over [0, t], with
+f_x(0) = 1 at t = 0.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
 from .errors import NotMaximalError, TooLargeError
-from .posets import Poset, SubsetMap, induced_subposet
+from .posets import Poset
 
 __all__ = [
     "WeightRanking",
@@ -45,12 +51,9 @@ __all__ = [
     "MU_T_CAP",
 ]
 
-# Exact-enumeration caps: 10! rankings for mu, and a 2^n subset sum on top of
-# the ranking enumeration for mu_t.
+# Size caps of the exact tables; larger inputs raise TooLargeError.
 MU_EXACT_CAP = 10
 MU_T_CAP = 8
-
-_PERM_BATCH = 40320  # permutations materialized per numpy block
 
 
 @dataclass(frozen=True)
@@ -168,47 +171,46 @@ def greedy_scan(lt: np.ndarray, order: np.ndarray, member: np.ndarray | None = N
     return z
 
 
-def _greedy_max_counts(lt: np.ndarray) -> np.ndarray:
-    """Count, per element, the rankings whose greedy chain ends there.
+def _antiderivative(c: list[Fraction]) -> list[Fraction]:
+    """Coefficients of the integral from 0 to v of the polynomial c (lowest first)."""
+    return [Fraction(0)] + [a / (i + 1) for i, a in enumerate(c)]
 
-    Enumerates all n! rankings; each permutation is read as the weight order
-    (first entry lightest) and goes through greedy_scan.
+
+def _visit_densities(p: Poset) -> list[list[Fraction]]:
+    """Per element y, the coefficients of f_y(1 - v) in v, lowest first.
+
+    Elements go in order of their count of elements below, so every z < y is
+    done before y.  z < y contributes v^(k_z - 1) times the integral from v
+    to 1 of f_z(1 - s) / s^k_z, a polynomial once the low coefficients
+    (all zero) are shifted out.
     """
-    n = lt.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    perms = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(perms, _PERM_BATCH))
-        if not block:
-            return counts
-        z = greedy_scan(lt, np.asarray(block, dtype=np.int8))
-        counts += np.bincount(z, minlength=n)
+    n = p.n
+    k = p.lt.sum(axis=1)
+    f: list[list[Fraction]] = [[]] * n
+    for y in np.argsort(p.lt.sum(axis=0), kind="stable"):
+        c = [Fraction(0)] * n
+        c[n - 1] = Fraction(1)
+        for z in np.flatnonzero(p.lt[:, y]):
+            step = _antiderivative(f[z][k[z]:])
+            c[k[z] - 1] += sum(step)
+            for i, a in enumerate(step[1:], start=k[z]):
+                c[i] -= a
+        f[y] = c
+    return f
 
 
-def mu_exact(p: Poset, cap: int = MU_EXACT_CAP) -> MuTable:
-    """Exact greedy-maximum distribution over all n! weight rankings."""
-    if p.n > cap:
-        raise TooLargeError(f"mu_exact enumerates n! rankings; n={p.n} exceeds cap {cap}")
-    counts = _greedy_max_counts(p.lt)
-    total = factorial(p.n)
-    values = tuple(Fraction(int(c), total) for c in counts)
+def mu_exact(p: Poset) -> MuTable:
+    """Exact greedy-maximum distribution: mu(x) = integral of f_x over [0, 1]."""
+    if p.n > MU_EXACT_CAP:
+        raise TooLargeError(f"mu_exact is capped at n <= {MU_EXACT_CAP}; got n={p.n}")
+    f = _visit_densities(p)
+    values = tuple(
+        sum(_antiderivative(f[x])) if x in p.maximal else Fraction(0) for x in range(p.n)
+    )
     # The chain always ends at a maximal element and some chain always exists.
     assert all(values[x] == 0 for x in range(p.n) if x not in p.maximal)
     assert sum(values[x] for x in p.maximal) == 1
     return MuTable(values)
-
-
-def _subposet_mu(p: Poset, mask: int) -> tuple[Fraction, ...]:
-    """mu table of the induced subposet for a member bitmask, memoized on p."""
-    cache = p._mu_cache
-    hit = cache.get(mask)
-    if hit is not None:
-        return hit
-    members = tuple(i for i in range(p.n) if (mask >> i) & 1)
-    sub = induced_subposet(p, SubsetMap(members))
-    table = mu_exact(sub, cap=max(MU_EXACT_CAP, sub.n)).values
-    cache[mask] = table
-    return table
 
 
 def _as_unit_fraction(t) -> Fraction:
@@ -218,33 +220,24 @@ def _as_unit_fraction(t) -> Fraction:
     return t
 
 
-def mu_t_exact(p: Poset, x: int, t, cap: int = MU_T_CAP) -> Fraction:
+def mu_t_exact(p: Poset, x: int, t) -> Fraction:
     """mu(x) conditioned on x's weight being at most t, exactly.
 
-    Defined only for maximal x (the discard construction needs it); requires
-    p.n <= cap because the expansion sums over all subsets containing x.
-    At t=1 the value equals mu_exact(p)[x]; at t=0 it is 1.
+    Defined only for maximal x, where it is (1/t) times the integral of f_x
+    over [0, t]; requires p.n <= MU_T_CAP.  At t=1 the value equals
+    mu_exact(p)[x]; at t=0 it is f_x(0) = 1.
     """
     t = _as_unit_fraction(t)
-    if p.n > cap:
-        raise TooLargeError(f"mu_t_exact sums over 2^(n-1) subsets; n={p.n} exceeds cap {cap}")
+    if p.n > MU_T_CAP:
+        raise TooLargeError(f"mu_t_exact is capped at n <= {MU_T_CAP}; got n={p.n}")
     if not 0 <= x < p.n:
         raise IndexError(f"element {x} out of range for n={p.n}")
     if x not in p.maximal:
         raise NotMaximalError(f"element {x} is not maximal")
-    n = p.n
-    others = [i for i in range(n) if i != x]
-    total = Fraction(0)
-    for r in range(len(others) + 1):
-        for kept in itertools.combinations(others, r):
-            mask = 1 << x
-            for i in kept:
-                mask |= 1 << i
-            members_below_x = sum(1 for i in kept if i < x)
-            mu_x = _subposet_mu(p, mask)[members_below_x]
-            size = r + 1
-            total += t ** (size - 1) * (1 - t) ** (n - size) * mu_x
-    return total
+    if t == 0:
+        return Fraction(1)
+    integral = _antiderivative(_visit_densities(p)[x])
+    return (sum(integral) - sum(a * (1 - t) ** i for i, a in enumerate(integral))) / t
 
 
 @dataclass(frozen=True)
@@ -261,21 +254,21 @@ class MonotonicityReport:
         return not self.violations
 
 
-def check_mu_monotonicity(p: Poset, grid, cap: int = MU_T_CAP) -> MonotonicityReport:
+def check_mu_monotonicity(p: Poset, grid) -> MonotonicityReport:
     """Assert mu_t(x) >= mu(x) for every maximal x and grid point, exactly.
 
     Lowering an element's weight can only help it terminate the chain, so a
     violation would mean a bug; the report lists any (there must be none).
     """
     grid = tuple(_as_unit_fraction(t) for t in grid)
-    if p.n > cap:
-        raise TooLargeError(f"monotonicity check needs n <= {cap}, got {p.n}")
+    if p.n > MU_T_CAP:
+        raise TooLargeError(f"monotonicity check needs n <= {MU_T_CAP}, got {p.n}")
     mu = mu_exact(p)
     violations = []
     checks = 0
     for x in sorted(p.maximal):
         for t in grid:
-            val = mu_t_exact(p, x, t, cap=cap)
+            val = mu_t_exact(p, x, t)
             checks += 1
             if val < mu[x]:
                 violations.append((x, t, val, mu[x]))

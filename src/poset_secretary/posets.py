@@ -86,12 +86,6 @@ class Poset:
         bits = 1 << np.arange(self.n, dtype=object)
         return tuple(int((bits * self.lt[i]).sum()) for i in range(self.n))
 
-    @cached_property
-    def _mu_cache(self) -> dict:
-        # member-bitmask -> tuple of exact greedy-maximum probabilities for
-        # the induced subposet (filled lazily by the greedy engine)
-        return {}
-
     def __reduce__(self):
         # Rebuild through the constructor so unpickled copies are validated
         # and write-locked like any other instance (cached views recompute).

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from poset_secretary import engine
+from poset_secretary import engine, montecarlo
 from poset_secretary.cli import main
 
 
@@ -130,6 +130,20 @@ class TestVerify:
     def test_csv_header(self, run):
         _, out, _ = run("verify", "wedge", "--lemma", "5", *self.ARGS, "--format", "csv")
         assert out.splitlines()[0] == "statistic,observed,reference,p_value,passed,sample_size"
+
+    def test_lemma_2_tallies_tag_pairs_once_per_chunk(self, run, monkeypatch):
+        # the marginal and independence checks share one tally per chunk
+        calls = []
+
+        def counted(*args, _fn=montecarlo._tag_pair_counts):
+            calls.append(1)
+            return _fn(*args)
+
+        monkeypatch.setattr(montecarlo, "_tag_pair_counts", counted)
+        code, out, _ = run("verify", "wedge", "--lemma", "2", "--trials",
+                           str(engine.CHUNK_TRIALS + 1), "--workers", "1")
+        assert code == 0 and len(json.loads(out)["results"]["checks"]) == 6
+        assert len(calls) == 2  # two chunks
 
     def test_pinned_check_respects_cap(self, run):
         code, _, _ = run("verify", "antichain:9", "--lemma", "4", *self.ARGS)

@@ -1,8 +1,10 @@
 """Greedy chains, tagging, and the exact mu / mu_t tables.
 
-The exact tables are produced by a vectorised enumeration, so they are
-cross-checked here against a deliberately naive oracle that replays the
-definitional recursion permutation by permutation.
+The exact tables come from a recursion over the greedy chain's visit
+densities, so they are cross-checked here against deliberately naive
+oracles that replay the definitional recursion permutation by permutation
+(and, for mu_t, sum it over every subset of discarded elements), and at the
+size caps, where no oracle is affordable, against closed forms.
 """
 
 import itertools
@@ -15,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poset_secretary.errors import NotMaximalError, TooLargeError
-from poset_secretary.families import antichain, boolean_lattice, chain, random_poset, wedge
+from poset_secretary.families import (
+    antichain,
+    boolean_lattice,
+    chain,
+    forest_of_chains,
+    random_poset,
+    wedge,
+)
 from poset_secretary.greedy import (
     WeightRanking,
     check_mu_monotonicity,
@@ -26,6 +35,7 @@ from poset_secretary.greedy import (
     mu_exact,
     mu_t_exact,
 )
+from poset_secretary.montecarlo import MONOTONICITY_GRID
 from poset_secretary.posets import Poset, SubsetMap, from_relations, induced_subposet
 
 
@@ -55,6 +65,12 @@ def small_posets():
         from_relations(5, [(0, 2), (1, 2), (2, 3)]),
         random_poset(5, 0.4, seed=11),
     ]
+
+
+# up-sets shrink by up to four along a relation here, and by up to seven in
+# boolean_lattice(3), against at most three in small_posets(); labels run
+# top-down, so index order is not a linear extension
+RANDOM_6 = Poset(6, random_poset(6, 0.4, seed=2).lt[::-1, ::-1])
 
 
 class TestGreedyChain:
@@ -139,17 +155,23 @@ class TestMuExact:
         mu = mu_exact(boolean_lattice(3))
         assert mu[7] == 1
 
-    @pytest.mark.parametrize("p", small_posets())
+    @pytest.mark.parametrize("p", small_posets() + [boolean_lattice(3), RANDOM_6])
     def test_matches_definitional_oracle(self, p):
         assert mu_exact(p).values == mu_oracle(p)
+
+    def test_closed_forms_at_the_cap(self):
+        assert mu_exact(antichain(10)).values == (Fraction(1, 10),) * 10
+        assert mu_exact(chain(10))[9] == 1
+        # each chain's top ends the greedy chain iff its chain holds the
+        # globally lightest element
+        lengths = (1, 2, 3, 4)
+        mu = mu_exact(forest_of_chains(lengths))
+        tops = itertools.accumulate(lengths)
+        assert [mu[top - 1] for top in tops] == [Fraction(m, 10) for m in lengths]
 
     def test_cap_enforced(self):
         with pytest.raises(TooLargeError):
             mu_exact(chain(11))
-
-    def test_cap_parameter_respected(self):
-        with pytest.raises(TooLargeError):
-            mu_exact(chain(4), cap=3)
 
 
 def mu_t_oracle(p, x, t):
@@ -193,11 +215,18 @@ class TestMuT:
             for x in sorted(p.maximal):
                 assert mu_t_exact(p, x, Fraction(0)) == 1
 
-    @pytest.mark.parametrize("p", small_posets())
+    @pytest.mark.parametrize("p", small_posets() + [RANDOM_6])
     def test_matches_expansion_oracle(self, p):
         for x in sorted(p.maximal):
             for t in [Fraction(1, 3), Fraction(2, 3)]:
                 assert mu_t_exact(p, x, t) == mu_t_oracle(p, x, t)
+
+    def test_antichain_closed_form_at_the_cap(self):
+        # x ends the chain iff it is the lightest: (1/t) int_0^t (1-u)^7 du
+        p = antichain(8)
+        assert mu_t_exact(p, 0, 0) == 1
+        for t in MONOTONICITY_GRID[1:]:
+            assert mu_t_exact(p, 0, t) == (1 - (1 - t) ** 8) / (8 * t)
 
     def test_accepts_float_and_string_t(self):
         p = antichain(2)

@@ -5,6 +5,7 @@ the million-trial battery lives in the acceptance tests.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from poset_secretary.montecarlo import (
     PINNED_TIMES,
     Estimate,
     _pinned_tags,
+    _run_chunks,
     empirical_greedy_max,
     estimate_success,
     threshold_sweep,
@@ -350,3 +352,18 @@ class TestDeterminismAcrossChunks:
         a = estimate_success(antichain(3), 0.3, trials, master_seed=11, workers=1)
         b = estimate_success(antichain(3), 0.3, trials, master_seed=11, workers=2)
         assert a == b
+
+
+def _placement(chunk, rows):
+    return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+class TestWorkerPlacement:
+    def test_each_worker_runs_on_its_own_allowed_cpu(self):
+        allowed = os.sched_getaffinity(0)
+        placed = dict(_run_chunks(_placement, 4 * CHUNK_TRIALS, workers=2))
+        assert all(len(cpus) == 1 and cpus <= allowed for cpus in placed.values())
+        if len(allowed) >= len(placed):
+            assert len(set(placed.values())) == len(placed)
+        assert os.sched_getaffinity(0) == allowed  # the caller itself stays unpinned
