@@ -9,24 +9,41 @@ reported number is a pure function of (poset, parameters, master seed) and
 workers only decide who computes which chunk, never what comes out.
 
 The tag matrix gives the same flags as simulate.tag_sequence without running
-its greedy scan once per arrival prefix.  Because the scan only climbs,
-arrival x is tagged iff both hold:
+its greedy scan once per arrival prefix.  It is element-major: tagged[b, x]
+is x's flag when it arrives in trial b, so nothing downstream needs the
+arrival order of all n elements (the strategy only takes the earliest
+tagged element after tau).  Because the scan only climbs, x is tagged iff
+both hold:
 
   (a) the greedy maximum of the arrivals that are earlier *and* lighter than
       x lies below x, or there is no such arrival;
   (b) no earlier arrival lies above x.
 
+"Earlier" compares arrival keys: the times themselves when no row of the
+sub-batch has a tied time, else the stable arrival ranks.  The weight order
+is numpy's default argsort (SIMD where the CPU has it) unless np.sort shows
+a tied pair of weights in the sub-batch, and then the stable one.  Both
+choices are exact: in a row without ties, times order the arrivals as their
+stable ranks do, and every sort gives the one weight order there is.
+
 Elements are bits of the smallest unsigned dtype that holds n of them, which
-caps simulation at SIM_CAP elements.  (b) is a prefix-OR of element bits
-along the arrival order, ANDed with x's up-mask.  For (a), column r stands
-for the r-th lightest element and holds the up-mask of its current greedy
-element, all-ones while its set is empty.  Weight step w feeds element e_w
-to the columns r > w it arrived before, and a column whose mask has e_w's
-bit jumps to e_w's up-mask: a triangle of n(n-1)/2 contiguous elementwise
-updates per row.  Column w is final once step w starts, so its (a) flag is
-whether its mask holds e_w's own bit.  Rows are independent and are worked
-in sub-batches, which bounds the temporaries without changing any result.
-Equivalence with the per-trial reference is pinned by tests.
+caps simulation at SIM_CAP elements.  For (a), column r stands for the r-th
+lightest element and holds the up-mask of its current greedy element,
+all-ones while its set is empty.  Weight step w feeds element e_w to the
+columns r > w it arrived before, and a column whose mask has e_w's bit jumps
+to e_w's up-mask: a triangle of n(n-1)/2 contiguous elementwise updates per
+row.  Column w is final once step w starts, so x = e_w passes (a) iff its
+mask holds x's own bit; OR-ing those bits over the columns gives a mask of
+the elements that pass, with no scatter back to element order.  (b) is a
+recursion over the cover relation: with first[x] the earliest key among x
+and everything above x, first[x] = min(key[x], first[c] over the upper
+covers c of x), and x passes iff key[x] is below every such first[c].  It is
+exact because everything above x lies on or above an upper cover of x, and
+walking elements in increasing count of elements above them settles every
+cover before x.  That is one elementwise min per Hasse edge.  Rows are
+independent and are worked in sub-batches, which bounds the temporaries
+without changing any result.  Equivalence with the per-trial reference is
+pinned by tests.
 """
 
 from __future__ import annotations
@@ -35,7 +52,7 @@ import numpy as np
 
 from .errors import TooLargeError
 from .greedy import greedy_scan
-from .posets import Poset
+from .posets import Poset, transitive_reduction
 from .simulate import Trial
 
 __all__ = [
@@ -109,6 +126,36 @@ def _stable_argsort(a: np.ndarray) -> np.ndarray:
     return np.argsort(a, axis=1, kind="stable")
 
 
+def _has_ties(a: np.ndarray) -> bool:
+    """Whether some row of a holds two equal values."""
+    s = np.sort(a, axis=1)
+    return bool((s[:, 1:] == s[:, :-1]).any())
+
+
+def _weight_order(weights: np.ndarray) -> np.ndarray:
+    """Each row's stable order, lightest first.
+
+    numpy's default argsort (SIMD where the CPU has it) is not stable, but a
+    row without ties has only one order, so the stable sort runs only when
+    some row of the batch has a tie.
+    """
+    return _stable_argsort(weights) if _has_ties(weights) else np.argsort(weights, axis=1)
+
+
+def _arrival_keys(times: np.ndarray) -> np.ndarray:
+    """Per-element keys whose row order is the stable arrival order.
+
+    The times themselves when no row has a tie, else each element's arrival
+    rank with ties broken by index.
+    """
+    if not _has_ties(times):
+        return times
+    rank = np.empty(times.shape, dtype=np.uint8)  # n <= SIM_CAP
+    positions = np.arange(times.shape[1], dtype=np.uint8)
+    np.put_along_axis(rank, _stable_argsort(times), positions, axis=1)
+    return rank
+
+
 def check_sim_cap(n: int) -> None:
     """Raise TooLargeError when an n-element poset is over the simulation cap."""
     if n > SIM_CAP:
@@ -122,14 +169,28 @@ def _mask_dtype(n: int) -> type:
     return next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64) if n <= np.iinfo(d).bits)
 
 
+def _cover_walk(p: Poset) -> list[tuple[int, list[int]]]:
+    """(x, upper covers of x) for every non-maximal x, fewest elements above first.
+
+    A cover c of x has fewer elements above it than x, so each c comes
+    before x.
+    """
+    covers: list[list[int]] = [[] for _ in range(p.n)]
+    for a, c in transitive_reduction(p):
+        covers[a].append(c)
+    order = np.argsort(p.lt.sum(axis=1), kind="stable")
+    return [(int(x), covers[x]) for x in order if covers[x]]
+
+
 def batch_tag_matrix(
     p: Poset, times: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrival order, sorted times, and the (trials, n) tag-flag matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable weight order and the (trials, n) element-major tag matrix.
 
-    tagged[b, k] is True iff the (k+1)-th arrival of trial b is the greedy
-    maximum of the order induced on the first k+1 arrivals.  Raises
-    TooLargeError when p.n exceeds SIM_CAP.
+    worder[b] lists row b's elements lightest first, ties broken by index.
+    tagged[b, x] is True iff element x, when it arrives in trial b, is the
+    greedy maximum of the order induced on everything arrived so far.
+    Raises TooLargeError when p.n exceeds SIM_CAP.
     """
     check_sim_cap(p.n)
     n = p.n
@@ -137,38 +198,31 @@ def batch_tag_matrix(
     dtype = _mask_dtype(n)
     bits = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
     up = np.array(p.above_masks, dtype=dtype)
-    aorder = np.empty((B, n), dtype=np.intp)
-    tsorted = np.empty((B, n), dtype=times.dtype)
+    walk = _cover_walk(p)
+    worder = np.empty((B, n), dtype=np.intp)
     tagged = np.empty((B, n), dtype=bool)
     for lo in range(0, B, _SUB_BATCH):
         rows = slice(lo, lo + _SUB_BATCH)
-        _tag_sub_batch(bits, up, times[rows], weights[rows],
-                       aorder[rows], tsorted[rows], tagged[rows])
-    return aorder, tsorted, tagged
+        worder[rows] = _weight_order(weights[rows])
+        tagged[rows] = _tag_sub_batch(bits, up, walk, _arrival_keys(times[rows]), worder[rows])
+    return worder, tagged
 
 
 def _tag_sub_batch(
     bits: np.ndarray,
     up: np.ndarray,
-    times: np.ndarray,
-    weights: np.ndarray,
-    aorder: np.ndarray,
-    tsorted: np.ndarray,
-    tagged: np.ndarray,
-) -> None:
-    """Fill one sub-batch of batch_tag_matrix's outputs in place.
+    walk: list[tuple[int, list[int]]],
+    key: np.ndarray,
+    wo: np.ndarray,
+) -> np.ndarray:
+    """Tag flags (rows, n) of one sub-batch from its arrival keys and weight order.
 
     Work arrays are (n, rows), so each step's slice is contiguous.
     """
-    b, n = times.shape
-    rows = np.arange(b)
-    ao = _stable_argsort(times)
-    wo = np.ascontiguousarray(_stable_argsort(weights).T)  # wo[w]: w-th lightest
-    aorder[...] = ao
-    tsorted[...] = np.take_along_axis(times, ao, axis=1)
-    pos = np.empty((b, n), dtype=np.uint8)  # arrival position per element
-    pos[rows[:, None], ao] = np.arange(n, dtype=np.uint8)
-    wpos = pos[rows, wo]  # wpos[w]: arrival position of the w-th lightest
+    b, n = key.shape
+    wo = np.ascontiguousarray(wo.T)  # wo[w]: w-th lightest
+    key = np.ascontiguousarray(key.T)  # key[x]: arrival key of element x
+    keyw = np.take_along_axis(key, wo, axis=0)  # keyw[w]: arrival key of the w-th lightest
 
     # (a): greedy state per weight-rank column, a triangle of updates
     bitw = bits[wo]
@@ -182,56 +236,52 @@ def _tag_sub_batch(
         cols = state[w + 1:]
         hit = np.bitwise_and(cols, bitw[w], out=scratch[:k])
         go = np.not_equal(hit, 0, out=jump[:k])
-        go &= np.less(wpos[w], wpos[w + 1:], out=earlier[:k])
+        go &= np.less(keyw[w], keyw[w + 1:], out=earlier[:k])
         # cols = where(go, up(e_w), cols), branch-free: a masked copy is
         # several times slower when jumps are dense, as on chains
         diff = np.bitwise_xor(cols, upw[w], out=hit)
         diff *= go
         cols ^= diff
     state &= bitw
-    tag = np.empty((n, b), dtype=bool)  # arrival-major
-    tag[wpos, rows] = state != 0
+    passed = np.bitwise_or.reduce(state, axis=0)  # bit x: x passes (a)
 
-    # (b): nothing that arrived earlier (x itself is not above x) lies above x
-    ao_t = np.ascontiguousarray(ao.T)
-    seen = np.bitwise_or.accumulate(bits[ao_t], axis=0)
-    seen &= up[ao_t]
-    tag &= seen == 0
-    tagged[...] = tag.T
+    # (b): first[x] is the earliest arrival key in {x} and everything above x
+    tag = np.ones((n, b), dtype=bool)
+    first = list(key)
+    for x, covers in walk:
+        above = first[covers[0]]
+        for c in covers[1:]:
+            above = np.minimum(above, first[c])
+        np.less(key[x], above, out=tag[x])
+        first[x] = np.minimum(key[x], above)
+    tag &= (passed & bits[:, None]) != 0
+    return tag.T
 
 
 def batch_accept(
-    aorder: np.ndarray,
-    tsorted: np.ndarray,
-    tagged: np.ndarray,
-    tau: float,
-    is_maximal: np.ndarray,
+    times: np.ndarray, tagged: np.ndarray, tau: float, is_maximal: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First tagged arrival strictly after tau; (accepted or -1, success)."""
-    ok = tagged & (tsorted > tau)
-    has = ok.any(axis=1)
-    first = ok.argmax(axis=1)
-    element = np.take_along_axis(aorder, first[:, None], axis=1)[:, 0]
-    accepted = np.where(has, element, -1)
-    success = has & is_maximal[np.where(has, element, 0)]
-    return accepted, success
+    """First tagged arrival strictly after tau; (accepted or -1, success).
+
+    Equal times go to the lowest index, as in the stable arrival order.
+    """
+    due = np.where(tagged & (times > tau), times, np.inf)
+    first = due.argmin(axis=1)
+    has = due[np.arange(due.shape[0]), first] < np.inf
+    return np.where(has, first, -1), has & is_maximal[first]
 
 
-def batch_last_tag_time(tsorted: np.ndarray, tagged: np.ndarray, t: float) -> np.ndarray:
+def batch_last_tag_time(times: np.ndarray, tagged: np.ndarray, t: float) -> np.ndarray:
     """Arrival time of the last tag strictly before t; NaN when no arrival.
 
     The first arrival is always tagged, so the value exists exactly when
     some element arrives before t.
     """
-    m = tagged & (tsorted < t)
-    has = m.any(axis=1)
-    n = tsorted.shape[1]
-    last = n - 1 - np.argmax(m[:, ::-1], axis=1)
-    out = np.take_along_axis(tsorted, last[:, None], axis=1)[:, 0]
-    out[~has] = np.nan
-    return out
+    last = np.maximum.reduce(times, axis=1, where=tagged & (times < t), initial=-1.0)
+    last[last < 0] = np.nan
+    return last
 
 
 def batch_greedy_maximum(lt: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Greedy maximum of the full poset for a batch of weight vectors."""
-    return greedy_scan(lt, _stable_argsort(weights))
+    return greedy_scan(lt, _weight_order(weights))

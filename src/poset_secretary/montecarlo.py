@@ -9,9 +9,12 @@ implementation far more often than alpha.
 
 One pass per chunk: each canonical chunk is drawn and tagged once
 (_tag_chunk), and every statistic is a reducer of that chunk's (times,
-weights, aorder, tsorted, tagged).  verify_lemmas runs all requested checks
-over one pass and at most one process pool; each per-lemma function runs the
-same code path with its own check.
+weights, worder, tagged): the uniforms, each row's stable weight order and
+the element-major tag flags.  Acceptance and last-tag times read tagged
+elements' times directly; only the lemma-2 checks, which count by arrival
+position, sort the chunk by arrival.  verify_lemmas runs all requested
+checks over one pass and at most one process pool; each per-lemma function
+runs the same code path with its own check.
 
 Verified laws, all at desk scale:
   * the k-th arrival is tagged with probability exactly 1/k, independently
@@ -172,8 +175,8 @@ def _tag_chunk(
 ) -> list:
     """Draw and tag one canonical chunk, then apply every reducer to it."""
     times, weights = engine.chunk_uniforms(p.n, master_seed, chunk, rows)
-    aorder, tsorted, tagged = engine.batch_tag_matrix(p, times, weights)
-    return [reduce(times, weights, aorder, tsorted, tagged) for reduce in reducers]
+    worder, tagged = engine.batch_tag_matrix(p, times, weights)
+    return [reduce(times, weights, worder, tagged) for reduce in reducers]
 
 
 def _greedy_count_chunk(p: Poset, master_seed: int, chunk: int, rows: int) -> np.ndarray:
@@ -182,32 +185,39 @@ def _greedy_count_chunk(p: Poset, master_seed: int, chunk: int, rows: int) -> np
     return np.bincount(z, minlength=p.n)
 
 
-# -- reducers: (times, weights, aorder, tsorted, tagged) of one chunk -> tally --
+# -- reducers: (times, weights, worder, tagged) of one chunk -> tally ----------
+# tagged is element-major (see engine.batch_tag_matrix); only the lemma-2
+# reducers, which count by arrival position, sort a chunk by arrival.
 # Module-level functions bound with partial, so they pickle for the pool.
 
 
-def _success_counts(is_maximal, taus, times, weights, aorder, tsorted, tagged) -> np.ndarray:
+def _success_counts(is_maximal, taus, times, weights, worder, tagged) -> np.ndarray:
     out = np.empty(len(taus), dtype=np.int64)
     for i, tau in enumerate(taus):
-        _, success = engine.batch_accept(aorder, tsorted, tagged, tau, is_maximal)
+        _, success = engine.batch_accept(times, tagged, tau, is_maximal)
         out[i] = int(success.sum())
     return out
 
 
-def _tag_pair_counts(times, weights, aorder, tsorted, tagged) -> np.ndarray:
+def _tags_by_arrival(times: np.ndarray, tagged: np.ndarray) -> np.ndarray:
+    """tagged with column k holding the (k+1)-th arrival's flag, ties by index."""
+    return np.take_along_axis(tagged, engine._stable_argsort(times), axis=1)
+
+
+def _tag_pair_counts(times, weights, worder, tagged) -> np.ndarray:
     # float64 runs on BLAS and is exact: a chunk's counts stay far below 2^53
-    flags = tagged.astype(np.float64)
+    flags = _tags_by_arrival(times, tagged).astype(np.float64)
     return (flags.T @ flags).astype(np.int64)
 
 
-def _tag_pattern_counts(times, weights, aorder, tsorted, tagged) -> np.ndarray:
+def _tag_pattern_counts(times, weights, worder, tagged) -> np.ndarray:
     n = tagged.shape[1]
-    codes = tagged @ (1 << np.arange(n, dtype=np.int64))
+    codes = _tags_by_arrival(times, tagged) @ (1 << np.arange(n, dtype=np.int64))
     return np.bincount(codes, minlength=1 << n)
 
 
-def _last_tag_values(t, times, weights, aorder, tsorted, tagged) -> np.ndarray:
-    vals = engine.batch_last_tag_time(tsorted, tagged, t)
+def _last_tag_values(t, times, weights, worder, tagged) -> np.ndarray:
+    vals = engine.batch_last_tag_time(times, tagged, t)
     return vals[~np.isnan(vals)]
 
 
@@ -225,8 +235,8 @@ def _pinned_tags(
     return greedy_scan(lt, worder, member) == x
 
 
-def _pinned_hits(lt, pins, times, weights, aorder, tsorted, tagged) -> np.ndarray:
-    worder = np.argsort(weights, axis=1, kind="stable").astype(np.uint8)  # n <= SIM_CAP
+def _pinned_hits(lt, pins, times, weights, worder, tagged) -> np.ndarray:
+    worder = worder.astype(np.uint8)  # n <= SIM_CAP
     return np.array(
         [np.count_nonzero(_pinned_tags(lt, x, t, times, worder)) for x, t in pins], dtype=np.int64
     )

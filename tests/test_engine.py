@@ -49,14 +49,21 @@ def relabelled(p, seed):
     return Poset(p.n, lt)
 
 
+def top_down(p):
+    """The same order relabelled i -> n-1-i, so index order runs against every
+    linear extension of a naturally labelled poset."""
+    return Poset(p.n, p.lt[::-1, ::-1].copy())
+
+
 def assert_matches_reference(p, times, weights):
-    aorder, tsorted, tagged = batch_tag_matrix(p, times, weights)
-    assert aorder.dtype == np.intp and tagged.dtype == bool
+    worder, tagged = batch_tag_matrix(p, times, weights)
+    assert worder.dtype == np.intp and tagged.dtype == bool
+    assert worder.shape == tagged.shape == times.shape
     for b in range(times.shape[0]):
-        evs = tag_sequence(p, Trial(times[b], weights[b]))
-        assert [e.element for e in evs] == aorder[b].tolist()
-        assert [e.time for e in evs] == tsorted[b].tolist()
-        assert [e.tagged for e in evs] == tagged[b].tolist(), (p, b)
+        trial = Trial(times[b], weights[b])
+        assert worder[b].tolist() == np.argsort(trial.weight_rank()).tolist(), (p, b)
+        evs = tag_sequence(p, trial)
+        assert [bool(tagged[b, e.element]) for e in evs] == [e.tagged for e in evs], (p, b)
 
 
 class TestChunking:
@@ -109,8 +116,8 @@ class TestTagMatrix:
     def test_first_arrival_column_always_tagged(self):
         p = random_poset(6, 0.5, seed=8)
         times, weights = batches(6, 500, seed=1)
-        _, _, tagged = batch_tag_matrix(p, times, weights)
-        assert tagged[:, 0].all()
+        _, tagged = batch_tag_matrix(p, times, weights)
+        assert tagged[np.arange(500), times.argmin(axis=1)].all()
 
 
 class TestBitmaskKernel:
@@ -124,22 +131,58 @@ class TestBitmaskKernel:
         rows = 150 if n <= 17 else 60
         assert_matches_reference(p, *batches(n, rows, seed=n * 7 + int(density * 10)))
 
-    @pytest.mark.parametrize("p", [chain(64), antichain(64), relabelled(chain(64), seed=3)])
+    # (b) must walk covers first: index order fails on chain(64), and reverse
+    # index order on the two top-down-labelled posets
+    @pytest.mark.parametrize(
+        "p",
+        [
+            chain(64),
+            antichain(64),
+            relabelled(chain(64), seed=3),
+            top_down(chain(64)),
+            top_down(random_poset(64, 0.1, seed=5)),
+        ],
+    )
     def test_widest_families(self, p):
         assert_matches_reference(p, *batches(p.n, 25, seed=11))
 
-    @pytest.mark.parametrize("rows", [1, 2047, 2049])
-    def test_row_counts_off_the_sub_batch(self, rows):
+    # tied rows in otherwise tie-free sub-batches: each sub-batch picks its
+    # sorts from its own rows.  numpy's default argsort puts these weights in
+    # an order other than the stable one.
+    @pytest.mark.parametrize(
+        "rows, tied",
+        [
+            pytest.param(1, (), id="1"),
+            pytest.param(2047, (), id="2047"),
+            pytest.param(2049, (), id="2049"),
+            pytest.param(2048, (1000,), id="one-tied-row-in-2048"),
+            pytest.param(4096, (2047,), id="tied-row-before-the-boundary"),
+            pytest.param(4096, (2048,), id="tied-row-after-the-boundary"),
+        ],
+    )
+    def test_row_counts_off_the_sub_batch(self, rows, tied):
         p = relabelled(random_poset(6, 0.4, seed=9), seed=2)
-        assert_matches_reference(p, *batches(6, rows, seed=rows))
+        times, weights = batches(6, rows, seed=rows)
+        for r in tied:
+            times[r] = np.floor(times[r] * 2) / 2
+            weights[r] = [0.0, 0.5, 0.5, 0.0, 0.0, 0.0]
+        assert_matches_reference(p, times, weights)
 
-    @pytest.mark.parametrize("n", [5, 9, 20])
-    def test_tied_times_and_weights_break_by_index(self, n):
+    @pytest.mark.parametrize(
+        "n, tied",
+        [pytest.param(n, "both", id=str(n)) for n in (5, 9, 20)]
+        + [pytest.param(9, "times", id="times-only")]
+        + [pytest.param(9, "weights", id="weights-only")],
+    )
+    def test_tied_times_and_weights_break_by_index(self, n, tied):
         rng = np.random.default_rng(n)
-        times = np.floor(rng.random((400, n)) * 4) / 4
-        weights = np.floor(rng.random((400, n)) * 3) / 3
-        times[:5] = 0.5  # rows where every arrival ties
-        weights[5:10] = 0.25
+        times, weights = rng.random((400, n)), rng.random((400, n))
+        if tied != "weights":
+            times = np.floor(times * 4) / 4
+            times[:5] = 0.5  # rows where every arrival ties
+        if tied != "times":
+            weights = np.floor(weights * 3) / 3
+            weights[5:10] = 0.25
         p = relabelled(random_poset(n, 0.4, seed=n), seed=n)
         assert_matches_reference(p, times, weights)
 
@@ -160,40 +203,48 @@ class TestSimCap:
             batch_tag_matrix(antichain(SIM_CAP + 1), times, weights)
 
 
+def with_quarter_times(times):
+    """The times as drawn, and on a grid of 1/4: there some times equal tau or
+    t exactly and some tagged elements arrive together."""
+    return times, np.floor(times * 4) / 4
+
+
 class TestBatchAccept:
     @pytest.mark.parametrize("tau", [0.0, 0.25, 1 / 2.718281828459045, 0.9])
     def test_matches_run_strategy(self, tau):
         p = random_poset(7, 0.3, seed=5)
-        times, weights = batches(7, 400, seed=17)
-        aorder, tsorted, tagged = batch_tag_matrix(p, times, weights)
-        accepted, success = batch_accept(aorder, tsorted, tagged, tau, p.is_maximal)
-        for b in range(400):
-            out = run_strategy(p, Trial(times[b], weights[b]), tau)
-            assert accepted[b] == (-1 if out.accepted is None else out.accepted)
-            assert success[b] == out.success
+        drawn, weights = batches(7, 400, seed=17)
+        for times in with_quarter_times(drawn):
+            _, tagged = batch_tag_matrix(p, times, weights)
+            accepted, success = batch_accept(times, tagged, tau, p.is_maximal)
+            for b in range(400):
+                out = run_strategy(p, Trial(times[b], weights[b]), tau)
+                assert accepted[b] == (-1 if out.accepted is None else out.accepted)
+                assert success[b] == out.success
 
 
 class TestLastTagTime:
     def test_matches_reference_scan(self):
         p = random_poset(6, 0.4, seed=2)
-        times, weights = batches(6, 400, seed=23)
-        _, tsorted, tagged = batch_tag_matrix(p, times, weights)
-        for t in (0.3, 0.7, 1.0):
-            got = batch_last_tag_time(tsorted, tagged, t)
-            for b in range(400):
-                evs = tag_sequence(p, Trial(times[b], weights[b]))
-                ref = [e.time for e in evs if e.tagged and e.time < t]
-                if ref:
-                    assert got[b] == pytest.approx(ref[-1])
-                else:
-                    assert np.isnan(got[b])
+        drawn, weights = batches(6, 400, seed=23)
+        for times in with_quarter_times(drawn):
+            _, tagged = batch_tag_matrix(p, times, weights)
+            for t in (0.25, 0.3, 0.5, 0.7, 1.0):
+                got = batch_last_tag_time(times, tagged, t)
+                for b in range(400):
+                    evs = tag_sequence(p, Trial(times[b], weights[b]))
+                    ref = [e.time for e in evs if e.tagged and e.time < t]
+                    if ref:
+                        assert got[b] == ref[-1]
+                    else:
+                        assert np.isnan(got[b])
 
     def test_no_arrival_before_t_is_nan(self):
         p = chain(2)
         times = np.array([[0.8, 0.9]])
         weights = np.array([[0.1, 0.2]])
-        _, tsorted, tagged = batch_tag_matrix(p, times, weights)
-        assert np.isnan(batch_last_tag_time(tsorted, tagged, 0.5)[0])
+        _, tagged = batch_tag_matrix(p, times, weights)
+        assert np.isnan(batch_last_tag_time(times, tagged, 0.5)[0])
 
 
 class TestBatchGreedyMax:

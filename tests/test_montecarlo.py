@@ -101,6 +101,22 @@ class TestEstimate:
         b = estimate_success(wedge(), 0.4, TRIALS, master_seed=4)
         assert a.successes != b.successes
 
+    def test_philox_draws_take_no_stable_sort(self, monkeypatch):
+        want = estimate_success(chain(20), 0.4, TRIALS, master_seed=3, workers=1)
+
+        class StableSort(Exception):
+            pass
+
+        def stable_sort(a):
+            raise StableSort
+
+        monkeypatch.setattr(engine, "_stable_argsort", stable_sort)
+        assert estimate_success(chain(20), 0.4, TRIALS, master_seed=3, workers=1) == want
+        times, weights = engine.chunk_uniforms(20, 3, 0, 100)
+        for tied in ((np.floor(times * 4) / 4, weights), (times, np.floor(weights * 4) / 4)):
+            with pytest.raises(StableSort):
+                batch_tag_matrix(chain(20), *tied)
+
     def test_singleton_closed_form(self):
         est = estimate_success(chain(1), 1 / math.e, 100_000, master_seed=0)
         assert est.p_hat == pytest.approx(1 - 1 / math.e, abs=0.006)
@@ -266,12 +282,11 @@ class TestPinnedArrival:
 
 def pinned_reference(p, x, t, times, weights):
     """x's tag flag per row with its arrival time replaced by t, read from the
-    full tag matrix at x's arrival."""
+    full tag matrix's column for x."""
     times = times.copy()
     times[:, x] = t
-    aorder, _, tagged = batch_tag_matrix(p, times, weights)
-    k = np.argmax(aorder == x, axis=1)
-    return tagged[np.arange(len(k)), k]
+    _, tagged = batch_tag_matrix(p, times, weights)
+    return tagged[:, x]
 
 
 class TestPinnedScan:
