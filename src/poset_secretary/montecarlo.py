@@ -16,6 +16,11 @@ position, sort the chunk by arrival.  verify_lemmas runs all requested
 checks over one pass and at most one process pool; each per-lemma function
 runs the same code path with its own check.
 
+P-values come from pvalues: the exact two-sided binomial test for each tag
+marginal, Pearson's chi-square for pairwise independence and the joint
+pattern law, and the exact one-sample KS test for last-tag uniformity, each
+bit-identical to SciPy's own tests but computed from scipy.special alone.
+
 Verified laws, all at desk scale:
   * the k-th arrival is tagged with probability exactly 1/k, independently
     across positions and regardless of the order structure;
@@ -37,9 +42,8 @@ from multiprocessing import Value
 from typing import Callable, Collection, Sequence
 
 import numpy as np
-from scipy import stats as _sps
 
-from . import engine
+from . import engine, pvalues
 from .errors import NotMaximalError, TooLargeError, ZeroTrialsError
 from .greedy import MU_T_CAP, check_mu_monotonicity, greedy_scan, mu_t_exact
 from .posets import Poset
@@ -124,7 +128,7 @@ def wilson_interval(
         raise ValueError("successes must lie in [0, trials]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    z = float(_sps.norm.ppf((1.0 + confidence) / 2.0))
+    z = pvalues.normal_quantile((1.0 + confidence) / 2.0)
     p_hat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -337,7 +341,7 @@ def _marginal_check(p: Poset, trials: int, alpha: float, min_per_position: int) 
         for k in range(1, p.n + 1):
             hits = int(marg[k - 1])
             ref = 1.0 / k
-            pval = float(_sps.binomtest(hits, trials, ref).pvalue)
+            pval = pvalues.binom_two_sided(hits, trials, ref)
             reports.append(
                 LemmaReport(
                     statistic=f"tag_marginal[k={k}]",
@@ -396,14 +400,14 @@ def _independence_check(p: Poset, trials: int, alpha: float) -> tuple:
                 table = np.array(
                     [[both, a - both], [b - both, trials - a - b + both]], dtype=np.int64
                 )
-                chi2, pval, _, _ = _sps.chi2_contingency(table, correction=False)
+                chi2, pval = pvalues.chi2_2x2(table)
                 reports.append(
                     LemmaReport(
                         statistic=f"tag_independence[j={j},k={k}]",
-                        observed=float(chi2),
+                        observed=chi2,
                         reference="chi2(df=1) under independence",
-                        p_value=float(pval),
-                        passed=float(pval) >= alpha,
+                        p_value=pval,
+                        passed=pval >= alpha,
                         sample_size=trials,
                     )
                 )
@@ -456,14 +460,14 @@ def verify_tag_joint(
             # single cell, nothing to test: the pattern must be all-ones
             passed = impossible_hits == 0
             return [LemmaReport("tag_joint", 0.0, "exact product law", None, passed, trials)]
-        chi2, pval = _sps.chisquare(pattern[possible], prob[possible] * trials)
+        chi2, pval = pvalues.chi2_gof(pattern[possible], prob[possible] * trials)
         return [
             LemmaReport(
                 statistic="tag_joint",
-                observed=float(chi2),
+                observed=chi2,
                 reference=f"chi2(df={int(possible.sum()) - 1}) under the product law",
-                p_value=float(pval),
-                passed=impossible_hits == 0 and float(pval) >= alpha,
+                p_value=pval,
+                passed=impossible_hits == 0 and pval >= alpha,
                 sample_size=trials,
             )
         ]
@@ -480,14 +484,14 @@ def _last_tag_check(p: Poset, t: float, alpha: float) -> tuple:
         values = np.concatenate(tallies) / t
         if values.size == 0:
             raise ValueError("no trial had an arrival before t; increase trials")
-        ks, pval = _sps.kstest(values, "uniform")
+        ks, pval = pvalues.ks_uniform(values)
         return [
             LemmaReport(
                 statistic=f"last_tag_uniform[t={t!r}]",
-                observed=float(ks),
+                observed=ks,
                 reference="uniform[0,1]",
-                p_value=float(pval),
-                passed=float(pval) >= alpha,
+                p_value=pval,
+                passed=pval >= alpha,
                 sample_size=int(values.size),
             )
         ]

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poset_secretary
 from poset_secretary import engine, montecarlo
 from poset_secretary.cli import main
 
@@ -176,12 +181,50 @@ class TestGoldenBytes:
             (("sweep", "chain:5", "--taus", "0.1,0.3679,0.7", "--trials", "20000",
               "--seed", "3", "--format", "csv"),
              "e30ad01e03a74670d1bfc5e1a326c0f28c0ba6c38f299053f49e1785d65e273d"),
+            (("simulate", "chain:20", "--trials", "20000", "--seed", "3"),
+             "63b31487e9f8902b55105115ab406fbfef0e1732dbfbb5ea61adbf1e6b0dabb4"),
+            (("exact-mu", "boolean:3", "--t", "1/2"),
+             "c9f0383128017b003b75383909ec356115df9c3af69567e172c9ed548ff3988a"),
+            # KS samples of 92 and 100 values, n*D^2 = 0.35 and 0.84: the small-n
+            # DMTW and Pomeranz paths
+            (("verify", "wedge", "--lemma", "3", "--trials", "100", "--seed", "0"),
+             "053c61ce04365f7066562c3e370b0d036eb9ddcd28c80d58947dfbe115b39d22"),
         ],
     )
     def test_stdout_digest(self, run, argv, digest):
         code, out, _ = run(*argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestImports:
+    """No command loads scipy.stats: its import alone outweighs a desk-scale run."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "wedge", "--trials", "1000"],
+            ["sweep", "wedge", "--taus", "0.2,0.5", "--trials", "1000"],
+            ["exact-mu", "wedge", "--t", "1/2"],
+            ["verify", "wedge", "--lemma", "all", "--trials", "3000", "--workers", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_runs_without_scipy_stats(self, argv):
+        script = (
+            "import sys\n"
+            "import poset_secretary\n"
+            "from poset_secretary import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+        )
+        src = str(Path(poset_secretary.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSweep:

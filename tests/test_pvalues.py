@@ -1,0 +1,153 @@
+"""Every pvalues function is bit-identical to its scipy.stats counterpart.
+
+scipy.stats is imported here only as the oracle.  The inputs reach every
+branch of each algorithm: both sides of the binomial mode and the support
+ends, and each of the KS survival function's methods and cut-offs.
+"""
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from poset_secretary import pvalues
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("q", [0.95, 0.995, 0.9995, 0.5, 0.001, 1e-12])
+def test_normal_quantile(q):
+    assert same_bits(pvalues.normal_quantile(q), stats.norm.ppf(q))
+
+
+@pytest.mark.parametrize(
+    "k, n, p",
+    [
+        (5, 20, 0.25),  # k == p*n
+        (2, 20, 0.25), (3, 20, 0.25), (1, 7, 1 / 3),  # k < p*n
+        (9, 20, 0.25), (3, 7, 1 / 3), (7, 7, 1 / 3),  # k > p*n
+        (0, 20, 0.25), (20, 20, 0.25), (0, 1, 0.5), (1, 1, 0.5),  # k = 0 and k = n
+        (0, 10, 0.0), (10, 10, 1.0), (3, 10, 0.0), (3, 10, 1.0),  # p on the edge
+        (125000, 10**6, 1 / 8), (124000, 10**6, 1 / 8), (126500, 10**6, 1 / 8),
+        (200000, 200000, 1.0 / 1), (66480, 200000, 1 / 3), (66900, 200000, 1 / 3),
+        # a far-side term lies within 1e-5 of d, but not within the 1e-7 tolerance
+        (39, 102, 0.25), (141, 227, 0.3),
+        # a far-side term lies within the 1e-7 tolerance, but not within 1e-8
+        (198, 950, 0.25), (450, 1202, 1 / 3),
+    ],
+)
+def test_binom_two_sided(k, n, p):
+    assert same_bits(pvalues.binom_two_sided(k, n, p), stats.binomtest(k, n, p).pvalue)
+
+
+def test_binom_two_sided_dense_grid():
+    for n in (1, 2, 5, 13, 100, 1000):
+        for p in (0.1, 1 / 3, 0.5, 0.9):
+            for k in range(0, n + 1, max(1, n // 40)):
+                assert same_bits(pvalues.binom_two_sided(k, n, p),
+                                 stats.binomtest(k, n, p).pvalue), (k, n, p)
+
+
+@pytest.mark.parametrize("k, n, p", [(-1, 5, 0.5), (6, 5, 0.5), (0, 0, 0.5), (1, 5, 1.5)])
+def test_binom_two_sided_rejects_what_binomtest_rejects(k, n, p):
+    with pytest.raises(ValueError):
+        pvalues.binom_two_sided(k, n, p)
+    with pytest.raises(ValueError):
+        stats.binomtest(k, n, p)
+
+
+def test_chi2_2x2():
+    rng = np.random.default_rng(11)
+    for trials in (20, 1000, 200000, 10**6):
+        for _ in range(50):
+            a, b = (int(v) for v in rng.integers(1, trials, 2))
+            both = int(rng.integers(max(0, a + b - trials), min(a, b) + 1))
+            table = np.array([[both, a - both], [b - both, trials - a - b + both]], dtype=np.int64)
+            stat, pval, _, _ = stats.chi2_contingency(table, correction=False)
+            got = pvalues.chi2_2x2(table)
+            assert same_bits(got[0], stat) and same_bits(got[1], pval), table
+
+
+def test_chi2_2x2_rejects_a_zero_margin():
+    with pytest.raises(ValueError):
+        pvalues.chi2_2x2(np.array([[0, 0], [3, 4]]))
+
+
+def test_chi2_gof():
+    rng = np.random.default_rng(12)
+    for cells in (2, 3, 64, 2048):
+        for trials in (1000, 10**6):
+            prob = rng.dirichlet(np.ones(cells))
+            obs = rng.multinomial(trials, prob)
+            stat, pval = stats.chisquare(obs, prob * trials)
+            got = pvalues.chi2_gof(obs, prob * trials)
+            assert same_bits(got[0], stat) and same_bits(got[1], pval), (cells, trials)
+
+
+def test_chi2_gof_rejects_mismatched_totals():
+    with pytest.raises(ValueError):
+        pvalues.chi2_gof([10, 10], [5.0, 5.0])
+
+
+def assert_ks_matches(values):
+    ks, pval = stats.kstest(values, "uniform")
+    got = pvalues.ks_uniform(values)
+    assert same_bits(got[0], ks) and same_bits(got[1], pval)
+    return got[0]
+
+
+def sample_with_d(n, d):
+    """n sorted values in [0, 1] whose KS distance from Uniform[0, 1] is d (up to rounding)."""
+    return np.clip((np.arange(n) + 0.5) / n + (d - 0.5 / n), 0.0, 1.0)
+
+
+# (n, n*x^2) pairs around each cut-off of the survival function's method choice
+KS_CUTS = [
+    (n, c)
+    for n in (140, 141, 100000, 100001)
+    for c in (0.03, 0.7, 0.8, 2.1, 2.3, 3.9, 4.1, 17.0, 19.0, 369.0, 371.0)
+    if 1.0 / n < (c / n) ** 0.5 < 0.5
+]
+# n*x^1.5 on each side of 1.4, where n > 140 switches from DMTW to Pelz-Good
+KS_CUTS += [(141, 141 * (a / 141) ** (4 / 3)) for a in (1.35, 1.45)]
+
+
+@pytest.mark.parametrize("n, c", KS_CUTS, ids=[f"n={n}-nx2={c}" for n, c in KS_CUTS])
+def test_ks_each_method_cut(n, c):
+    d = assert_ks_matches(sample_with_d(n, (c / n) ** 0.5))
+    assert abs(n * d * d - c) < 1e-6 * c  # the sample sits on the intended side
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 140, 141, 100000, 100001])
+@pytest.mark.parametrize(
+    "where",
+    ["t<=1", "t>=n-1", "x>=0.5", "tiny-z"],
+)
+def test_ks_edge_branches(n, where):
+    d = {
+        "t<=1": 0.75 / n,  # Ruben-Gambino: 1/(2n) < x <= 1/n
+        "t>=n-1": (n - 0.5) / n,  # Ruben-Gambino: x >= (n-1)/n
+        "x>=0.5": 0.55,  # for n <= 16 Pomeranz would also apply
+        "tiny-z": 2.0 / n,  # Pelz-Good's underflow exit when n > 100000
+    }[where]
+    assert_ks_matches(sample_with_d(n, d))
+
+
+def test_ks_support_ends():
+    assert_ks_matches((np.arange(10) + 0.5) / 10)  # D = 1/(2n): p = 1
+    assert_ks_matches(np.zeros(5))  # D = 1: p = 0
+    assert_ks_matches(np.ones(7))
+
+
+def test_ks_random_samples():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 5, 30, 88, 100, 139, 140, 141, 500, 3000):
+        for shape in (1.0, 0.7, 1.5):
+            assert_ks_matches(rng.random(n) ** shape)
+        assert_ks_matches(np.round(rng.random(n) * 8) / 8)  # ties and exact 0 and 1
+
+
+def test_ks_rejects_an_empty_sample():
+    with pytest.raises(ValueError):
+        pvalues.ks_uniform(np.array([]))
