@@ -145,29 +145,21 @@ def is_tagged(p_x: Poset, x_local: int, w: WeightRanking) -> bool:
     return greedy_maximum(p_x, w) == x_local
 
 
-def greedy_scan(lt: np.ndarray, order: np.ndarray, member: np.ndarray | None = None) -> np.ndarray:
+def greedy_scan(lt: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Greedy maximum per row of a (rows, n) weight order, lightest first.
 
     One lockstep scan over the order: the running element jumps to the next
     element that lies strictly above it.  That walks the greedy chain,
-    because chain weights strictly increase.  With a (rows, n) boolean
-    ``member`` mask, row b scans only the elements e with member[b, e], which
-    gives the greedy maximum of that induced subposet; a row with no member
-    returns n.
+    because chain weights strictly increase.
     """
     n = lt.shape[0]
-    # row n is a virtual bottom below every element, so the first member
-    # scanned always takes over; flat indices are much faster than 2-D ones
+    # row n is a virtual bottom below every element, so the lightest element
+    # always takes over; flat indices are much faster than 2-D ones
     above = np.vstack([lt, np.ones((1, n), dtype=bool)]).ravel()
     cols = np.ascontiguousarray(order.T)
-    if member is not None:
-        member = np.ascontiguousarray(np.take_along_axis(member, order, axis=1).T)
     z = np.full(cols.shape[1], n, dtype=np.intp)
     for w in range(n):
-        go = above[z * n + cols[w]]
-        if member is not None:
-            go &= member[w]
-        z = np.where(go, cols[w], z)
+        z = np.where(above[z * n + cols[w]], cols[w], z)
     return z
 
 
@@ -199,18 +191,37 @@ def _visit_densities(p: Poset) -> list[list[Fraction]]:
     return f
 
 
-def mu_exact(p: Poset) -> MuTable:
-    """Exact greedy-maximum distribution: mu(x) = integral of f_x over [0, 1]."""
-    if p.n > MU_EXACT_CAP:
-        raise TooLargeError(f"mu_exact is capped at n <= {MU_EXACT_CAP}; got n={p.n}")
-    f = _visit_densities(p)
-    values = tuple(
-        sum(_antiderivative(f[x])) if x in p.maximal else Fraction(0) for x in range(p.n)
-    )
+def _integrals(p: Poset) -> list[list[Fraction]]:
+    """Per element x, the coefficients of the integral from 0 to v of f_x(1 - s) ds.
+
+    The one density table of a poset: mu and every mu_t come from it.
+    """
+    return [_antiderivative(c) for c in _visit_densities(p)]
+
+
+def _mu_t(integral: list[Fraction], t: Fraction) -> Fraction:
+    """(1/t) times the integral of f_x over [0, t], from x's entry of _integrals.
+
+    At t = 0 that is f_x(0) = 1; at t = 1 it is mu(x).
+    """
+    if t == 0:
+        return Fraction(1)
+    return (sum(integral) - sum(a * (1 - t) ** i for i, a in enumerate(integral))) / t
+
+
+def _mu_table(p: Poset, integrals: list[list[Fraction]]) -> MuTable:
+    values = tuple(sum(integrals[x]) if x in p.maximal else Fraction(0) for x in range(p.n))
     # The chain always ends at a maximal element and some chain always exists.
     assert all(values[x] == 0 for x in range(p.n) if x not in p.maximal)
     assert sum(values[x] for x in p.maximal) == 1
     return MuTable(values)
+
+
+def mu_exact(p: Poset) -> MuTable:
+    """Exact greedy-maximum distribution: mu(x) = integral of f_x over [0, 1]."""
+    if p.n > MU_EXACT_CAP:
+        raise TooLargeError(f"mu_exact is capped at n <= {MU_EXACT_CAP}; got n={p.n}")
+    return _mu_table(p, _integrals(p))
 
 
 def _as_unit_fraction(t) -> Fraction:
@@ -234,10 +245,7 @@ def mu_t_exact(p: Poset, x: int, t) -> Fraction:
         raise IndexError(f"element {x} out of range for n={p.n}")
     if x not in p.maximal:
         raise NotMaximalError(f"element {x} is not maximal")
-    if t == 0:
-        return Fraction(1)
-    integral = _antiderivative(_visit_densities(p)[x])
-    return (sum(integral) - sum(a * (1 - t) ** i for i, a in enumerate(integral))) / t
+    return _mu_t(_integrals(p)[x], t)
 
 
 @dataclass(frozen=True)
@@ -263,12 +271,13 @@ def check_mu_monotonicity(p: Poset, grid) -> MonotonicityReport:
     grid = tuple(_as_unit_fraction(t) for t in grid)
     if p.n > MU_T_CAP:
         raise TooLargeError(f"monotonicity check needs n <= {MU_T_CAP}, got {p.n}")
-    mu = mu_exact(p)
+    integrals = _integrals(p)
+    mu = _mu_table(p, integrals)
     violations = []
     checks = 0
     for x in sorted(p.maximal):
         for t in grid:
-            val = mu_t_exact(p, x, t)
+            val = _mu_t(integrals[x], t)
             checks += 1
             if val < mu[x]:
                 violations.append((x, t, val, mu[x]))

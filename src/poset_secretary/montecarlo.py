@@ -12,9 +12,11 @@ One pass per chunk: each canonical chunk is drawn and tagged once
 weights, worder, tagged): the uniforms, each row's stable weight order and
 the element-major tag flags.  Acceptance and last-tag times read tagged
 elements' times directly; only the lemma-2 checks, which count by arrival
-position, sort the chunk by arrival.  verify_lemmas runs all requested
-checks over one pass and at most one process pool; each per-lemma function
-runs the same code path with its own check.
+position, sort the chunk by arrival.  Lemma 4's pinned check reads no tag
+flags: one bitmask scan over the weight order per pinned time serves every
+maximal element (see _pinned_tags).  verify_lemmas runs all requested checks
+over one pass and at most one process pool; each per-lemma function runs the
+same code path with its own check.
 
 P-values come from pvalues: the exact two-sided binomial test for each tag
 marginal, Pearson's chi-square for pairwise independence and the joint
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import engine, pvalues
 from .errors import NotMaximalError, TooLargeError, ZeroTrialsError
-from .greedy import MU_T_CAP, check_mu_monotonicity, greedy_scan, mu_t_exact
+from .greedy import MU_T_CAP, _integrals, _mu_t, check_mu_monotonicity
 from .posets import Poset
 from .simulate import TAU_DEFAULT
 
@@ -225,25 +227,80 @@ def _last_tag_values(t, times, weights, worder, tagged) -> np.ndarray:
     return vals[~np.isnan(vals)]
 
 
-def _pinned_tags(
-    lt: np.ndarray, x: int, t: float, times: np.ndarray, worder: np.ndarray
-) -> np.ndarray:
-    """Per row: is x tagged when its arrival time is replaced by t?
+# Lemma 4's pinned check reads only (times, worder).  Pinned at t, a maximal x
+# is tagged iff it is the greedy maximum of M: itself and the elements that
+# arrive before t, ties at t going to lower indices.  Test (b) of the tag
+# kernel holds trivially, as nothing lies above x, and a greedy chain that
+# reaches a maximal x ends there.  So x is tagged iff its bit is in the
+# up-mask of M's running greedy element when a weight-order scan of M
+# reaches x.  Whether x itself is a member matters only from that step on,
+# so with no time equal to t, every x at t scans the same members
+# {y : time_y < t}: one scan serves every pin at t, each read at its own
+# step.  A time equal to t (quantised inputs; a Philox draw is one with
+# probability 2^-53) brings in the tie rule, and then each pin at that t
+# gets its own scan.
 
-    No tag matrix needed: x is tagged iff it is the greedy maximum of itself
-    and every y with time_y < t, or time_y == t and y < x (the stable arrival
-    sort's tie rule), scanned in each row's stable weight order ``worder``.
+
+def _passed_mask(bitw: np.ndarray, upw: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Bit e of row b: e's bit is in the running up-mask when the scan reaches e.
+
+    A lockstep scan over (n, rows) weight-order columns: bitw[w] and upw[w]
+    are the bit and the up-mask of each row's w-th lightest element.  The
+    state is the up-mask of the running greedy element of the members
+    scanned so far, all-ones while none is taken; a member whose bit is in
+    the state takes over.
     """
-    member = (times < t) | ((times == t) & (np.arange(times.shape[1]) < x))
-    member[:, x] = True
-    return greedy_scan(lt, worder, member) == x
+    state = np.full(bitw.shape[1], np.iinfo(bitw.dtype).max, dtype=bitw.dtype)
+    passed = np.zeros_like(state)
+    hit = np.empty_like(state)
+    go = np.empty(state.shape, dtype=bool)
+    for w in range(len(bitw)):
+        np.bitwise_and(state, bitw[w], out=hit)
+        passed |= hit
+        np.not_equal(hit, 0, out=go)
+        go &= member[w]
+        # state = where(go, upw[w], state), branch-free as in the tag kernel
+        np.bitwise_xor(state, upw[w], out=hit)
+        hit *= go
+        state ^= hit
+    return passed
 
 
-def _pinned_hits(lt, pins, times, weights, worder, tagged) -> np.ndarray:
-    worder = worder.astype(np.uint8)  # n <= SIM_CAP
-    return np.array(
-        [np.count_nonzero(_pinned_tags(lt, x, t, times, worder)) for x, t in pins], dtype=np.int64
-    )
+def _pinned_tags(
+    up_masks: np.ndarray,
+    pins: Sequence[tuple[int, float]],
+    times: np.ndarray,
+    worder: np.ndarray,
+) -> np.ndarray:
+    """Per pin (x, t) and row: is x tagged when its arrival time is replaced by t?
+
+    Row i of the (len(pins), rows) result belongs to pins[i].  x is tagged
+    iff it is the greedy maximum of itself and every y with time_y < t, or
+    time_y == t and y < x (the stable arrival sort's tie rule), taken in the
+    row's stable weight order ``worder``; every x must be maximal.
+    up_masks holds each element's up-mask in engine's mask dtype.
+    """
+    dtype = up_masks.dtype.type
+    wo = np.ascontiguousarray(worder.T)
+    bitw = np.left_shift(dtype(1), wo.astype(dtype))
+    upw = up_masks[wo]
+    timew = np.ascontiguousarray(np.take_along_axis(times, worder, axis=1).T)
+    out = np.empty((len(pins), times.shape[0]), dtype=bool)
+    for t in dict.fromkeys(t for _, t in pins):
+        member = timew < t
+        shared = None if (times == t).any() else _passed_mask(bitw, upw, member)
+        for i, (x, s) in enumerate(pins):
+            if s != t:
+                continue
+            passed = shared
+            if passed is None:  # the tie rule makes the member set depend on x
+                passed = _passed_mask(bitw, upw, member | ((timew == t) & (wo < x)))
+            out[i] = (passed & (dtype(1) << dtype(x))) != 0
+    return out
+
+
+def _pinned_hits(up_masks, pins, times, weights, worder, tagged) -> np.ndarray:
+    return np.count_nonzero(_pinned_tags(up_masks, pins, times, worder), axis=1)
 
 
 # -- estimation ---------------------------------------------------------------
@@ -529,9 +586,10 @@ def _pinned_check(p: Poset, pins: Sequence[tuple[int, float]], trials: int) -> t
         raise TooLargeError(f"pinned-arrival check needs n <= {MU_T_CAP}, got {p.n}")
 
     def report(tallies):
+        integrals = _integrals(p)
         reports = []
         for (x, t), hits in zip(pins, np.sum(tallies, axis=0)):
-            mu = float(mu_t_exact(p, x, Fraction(t)))
+            mu = float(_mu_t(integrals[x], Fraction(t)))
             freq = int(hits) / trials
             se = math.sqrt(mu * (1.0 - mu) / trials)
             reports.append(
@@ -546,7 +604,8 @@ def _pinned_check(p: Poset, pins: Sequence[tuple[int, float]], trials: int) -> t
             )
         return reports
 
-    return partial(_pinned_hits, p.lt, pins), report
+    up_masks = np.array(p.above_masks, dtype=engine._mask_dtype(p.n))
+    return partial(_pinned_hits, up_masks, pins), report
 
 
 def verify_tagged_given_arrival(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import poset_secretary
@@ -110,8 +111,23 @@ class TestExactMu:
         assert run("exact-mu", "wedge", "--t", "3/2")[0] == 3
 
 
+def _members_ignore_t(bitw, upw, member, _scan=montecarlo._passed_mask):
+    """Pinned-scan mutant: every element is a member, whatever its arrival time."""
+    return _scan(bitw, upw, np.ones_like(member))
+
+
+def _read_after_order(bitw, upw, member):
+    """Pinned-scan mutant: x's bit is read from the state after the whole order."""
+    state = np.full(bitw.shape[1], np.iinfo(bitw.dtype).max, dtype=bitw.dtype)
+    for w in range(len(bitw)):
+        go = ((state & bitw[w]) != 0) & member[w]
+        state = np.where(go, upw[w], state)
+    return state
+
+
 class TestVerify:
     ARGS = ("--trials", "6000", "--seed", "5")
+    PINNED = ("verify", "random:8:0.3:42", "--lemma", "4", "--trials", "200000", "--workers", "1")
 
     def test_all_lemmas_pass_on_small_poset(self, run):
         code, out, _ = run("verify", "wedge", *self.ARGS)
@@ -149,6 +165,15 @@ class TestVerify:
                            str(engine.CHUNK_TRIALS + 1), "--workers", "1")
         assert code == 0 and len(json.loads(out)["results"]["checks"]) == 6
         assert len(calls) == 2  # two chunks
+
+    def test_lemma_4_passes_the_pinned_scan(self, run):
+        assert run(*self.PINNED)[0] == 0
+
+    @pytest.mark.parametrize("mutant", [_members_ignore_t, _read_after_order])
+    def test_lemma_4_fails_a_wrong_pinned_scan(self, run, monkeypatch, mutant):
+        monkeypatch.setattr(montecarlo, "_passed_mask", mutant)
+        code, out, _ = run(*self.PINNED)
+        assert code == 1 and json.loads(out)["results"]["failures"] > 0
 
     def test_pinned_check_respects_cap(self, run):
         code, _, _ = run("verify", "antichain:9", "--lemma", "4", *self.ARGS)

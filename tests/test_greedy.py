@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poset_secretary import greedy
 from poset_secretary.errors import NotMaximalError, TooLargeError
 from poset_secretary.families import (
     antichain,
@@ -264,6 +265,19 @@ class TestMonotonicity:
         with pytest.raises(TooLargeError):
             check_mu_monotonicity(antichain(9), [Fraction(1, 2)])
 
+    def test_builds_the_densities_once(self, monkeypatch):
+        calls = []
+
+        def counted(p, _fn=greedy._visit_densities):
+            calls.append(p)
+            return _fn(p)
+
+        monkeypatch.setattr(greedy, "_visit_densities", counted)
+        p = random_poset(8, 0.3, seed=42)
+        rep = check_mu_monotonicity(p, MONOTONICITY_GRID)
+        assert rep.ok and rep.checks == len(p.maximal) * len(MONOTONICITY_GRID) > 1
+        assert len(calls) == 1
+
 
 # -- properties ---------------------------------------------------------------
 
@@ -307,24 +321,13 @@ def test_single_scan_equals_recursion(p, rnd):
 
 @pytest.mark.parametrize("p", small_posets())
 def test_greedy_scan_matches_recursion_on_members(p):
-    """The lockstep scan, unmasked and masked, against the recursion on the
-    full poset and on the induced subposet of each row's members."""
+    """The lockstep scan against the recursion on the full poset, row by row."""
     rng = np.random.default_rng(p.n)
     order = np.array([rng.permutation(p.n) for _ in range(200)])
-    member = rng.random((200, p.n)) < 0.6
-    member[:20] = False  # rows with no member at all
     rank = np.argsort(order, axis=1)
     full = greedy_scan(p.lt, order)
-    masked = greedy_scan(p.lt, order, member)
     for b in range(200):
         assert full[b] == greedy_maximum(p, WeightRanking(tuple(rank[b])))
-        members = np.flatnonzero(member[b])
-        if members.size == 0:
-            assert masked[b] == p.n
-            continue
-        sub = induced_subposet(p, SubsetMap(tuple(members)))
-        sub_rank = np.argsort(np.argsort(rank[b][members]))
-        assert masked[b] == members[greedy_maximum(sub, WeightRanking(tuple(sub_rank)))]
 
 
 @given(posets_strategy)

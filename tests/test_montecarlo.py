@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from poset_secretary import engine
+from poset_secretary import engine, greedy, montecarlo
 from poset_secretary.engine import CHUNK_TRIALS, SIM_CAP, batch_tag_matrix
 from poset_secretary.errors import NotMaximalError, TooLargeError, ZeroTrialsError
 from poset_secretary.families import antichain, boolean_lattice, chain, random_poset, wedge
@@ -289,35 +289,57 @@ def pinned_reference(p, x, t, times, weights):
     return tagged[:, x]
 
 
+def up_masks(p):
+    return np.array(p.above_masks, dtype=engine._mask_dtype(p.n))
+
+
+PINNED_SCAN_POSETS = [
+    chain(1),
+    chain(8),
+    Poset(8, chain(8).lt.T.copy()),  # 0 on top: ties at t favour the higher elements
+    antichain(8),
+    random_poset(8, 0.3, seed=1),
+    chain(13),
+    antichain(13),
+    random_poset(13, 0.4, seed=2),
+    chain(64),
+    antichain(64),
+    random_poset(64, 0.1, seed=3),
+]
+
+
 class TestPinnedScan:
-    @pytest.mark.parametrize(
-        "p",
-        [
-            chain(1),
-            chain(8),
-            Poset(8, chain(8).lt.T.copy()),  # 0 on top: ties at t favour the higher elements
-            antichain(8),
-            random_poset(8, 0.3, seed=1),
-            chain(13),
-            antichain(13),
-            random_poset(13, 0.4, seed=2),
-            chain(64),
-            antichain(64),
-            random_poset(64, 0.1, seed=3),
-        ],
-    )
+    @pytest.mark.parametrize("p", PINNED_SCAN_POSETS)
     @pytest.mark.parametrize("quantum", [4, 8])
     def test_masked_scan_matches_full_tag_matrix(self, p, quantum):
-        # times and weights on a grid of 1/quantum, so both kinds of tie occur
+        # times and weights on a grid of 1/quantum, so both kinds of tie occur;
+        # every pin goes into one call, so pins at one t share a group
         rng = np.random.default_rng(p.n * quantum)
         times = np.floor(rng.random((200, p.n)) * quantum) / quantum
         weights = np.floor(rng.random((200, p.n)) * quantum) / quantum
         worder = np.argsort(weights, axis=1, kind="stable")
-        for x in sorted(p.maximal):
-            for t in (0.0, 0.25, 0.5, 1.0):
-                got = _pinned_tags(p.lt, x, t, times, worder)
-                want = pinned_reference(p, x, t, times, weights)
-                assert np.array_equal(got, want), (x, t)
+        pins = [(x, t) for x in sorted(p.maximal) for t in (0.0, 0.25, 0.5, 1.0)]
+        got = _pinned_tags(up_masks(p), pins, times, worder)
+        assert got.shape == (len(pins), 200)
+        for (x, t), flags in zip(pins, got):
+            assert np.array_equal(flags, pinned_reference(p, x, t, times, weights)), (x, t)
+
+    @pytest.mark.parametrize("p", PINNED_SCAN_POSETS)
+    def test_philox_pins_at_one_t_share_one_scan(self, p, monkeypatch):
+        scans = []
+
+        def counted(bitw, upw, member, _scan=montecarlo._passed_mask):
+            scans.append(member)
+            return _scan(bitw, upw, member)
+
+        monkeypatch.setattr(montecarlo, "_passed_mask", counted)
+        times, weights = engine.chunk_uniforms(p.n, 17, 0, 500)
+        worder, _ = batch_tag_matrix(p, times, weights)
+        pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
+        got = _pinned_tags(up_masks(p), pins, times, worder)
+        assert len(scans) == len(PINNED_TIMES)
+        for (x, t), flags in zip(pins, got):
+            assert np.array_equal(flags, pinned_reference(p, x, t, times, weights)), (x, t)
 
 
 class TestVerifyLemmas:
@@ -343,6 +365,19 @@ class TestVerifyLemmas:
             monkeypatch.setattr(engine, name, counted)
         verify_lemmas(wedge(), LEMMAS, CHUNK_TRIALS + 1, master_seed=0)
         assert calls == {"chunk_uniforms": 2, "batch_tag_matrix": 2}
+
+    def test_pinned_references_come_from_one_table(self, monkeypatch):
+        calls = []
+
+        def counted(p, _fn=greedy._visit_densities):
+            calls.append(p)
+            return _fn(p)
+
+        monkeypatch.setattr(greedy, "_visit_densities", counted)
+        p = random_poset(8, 0.3, seed=42)
+        reports = verify_lemmas(p, ["4"], 2_000, master_seed=0)
+        assert len(reports) == len(p.maximal) * len(PINNED_TIMES) > 1
+        assert len(calls) == 1
 
     def test_exact_lemma_alone_draws_nothing(self, monkeypatch):
         def no_draws(*args):
