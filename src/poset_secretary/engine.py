@@ -6,7 +6,12 @@ stream keyed by the two 64-bit words (s, c).  Each row holds the trial's 2n
 uniforms: arrival times first, then weights -- exactly the draw order of
 simulate.sample_trial.  Chunk boundaries are fixed constants, so every
 reported number is a pure function of (poset, parameters, master seed) and
-workers only decide who computes which chunk, never what comes out.
+workers only decide who computes which chunk, never what comes out.  A chunk
+may be drawn in consecutive pieces of rows: the stream continues where the
+last piece ended, so the pieces are bit-identical to one whole-chunk draw.
+chunk_tags draws and tags a chunk _SUB_BATCH rows at a time, so its weights
+never exist at chunk level; it returns float64 times, the uint8 weight order
+(n <= SIM_CAP) and the bool tag matrix, each (rows, n).
 
 The tag matrix gives the same flags as simulate.tag_sequence without running
 its greedy scan once per arrival prefix.  It is element-major: tagged[b, x]
@@ -61,6 +66,7 @@ __all__ = [
     "check_sim_cap",
     "chunk_layout",
     "chunk_uniforms",
+    "chunk_tags",
     "trial_for_index",
     "batch_tag_matrix",
     "batch_accept",
@@ -112,6 +118,21 @@ def chunk_uniforms(
     return mat[:, :n], mat[:, n:]
 
 
+def _chunk_pieces(n: int, master_seed: int, chunk_index: int, rows: int):
+    """Yield (first row, uniforms) of one canonical chunk, _SUB_BATCH rows at a time.
+
+    A piece holds the rows of chunk_uniforms' (rows, 2n) draw that start at
+    its first row.  Every piece is drawn into one reused buffer, so each is
+    overwritten by the next.
+    """
+    rng = _philox(master_seed, chunk_index)
+    buf = np.empty((min(rows, _SUB_BATCH), 2 * n))
+    for lo in range(0, rows, _SUB_BATCH):
+        piece = buf[: min(_SUB_BATCH, rows - lo)]
+        rng.random(out=piece)
+        yield lo, piece
+
+
 def trial_for_index(n: int, master_seed: int, trial_index: int) -> Trial:
     """The exact Trial the batched harness uses for one trial index."""
     if trial_index < 0:
@@ -132,14 +153,14 @@ def _has_ties(a: np.ndarray) -> bool:
     return bool((s[:, 1:] == s[:, :-1]).any())
 
 
-def _weight_order(weights: np.ndarray) -> np.ndarray:
-    """Each row's stable order, lightest first.
+def _row_order(a: np.ndarray) -> np.ndarray:
+    """Each row's stable order, smallest first.
 
     numpy's default argsort (SIMD where the CPU has it) is not stable, but a
     row without ties has only one order, so the stable sort runs only when
     some row of the batch has a tie.
     """
-    return _stable_argsort(weights) if _has_ties(weights) else np.argsort(weights, axis=1)
+    return _stable_argsort(a) if _has_ties(a) else np.argsort(a, axis=1)
 
 
 def _arrival_keys(times: np.ndarray) -> np.ndarray:
@@ -182,30 +203,61 @@ def _cover_walk(p: Poset) -> list[tuple[int, list[int]]]:
     return [(int(x), covers[x]) for x in order if covers[x]]
 
 
+def _kernel_tables(p: Poset) -> tuple:
+    """(element bits, up-masks, cover walk) of p, in p's mask dtype."""
+    check_sim_cap(p.n)
+    dtype = _mask_dtype(p.n)
+    bits = np.left_shift(dtype(1), np.arange(p.n, dtype=dtype))
+    up = np.array(p.above_masks, dtype=dtype)
+    return bits, up, _cover_walk(p)
+
+
+def _order_and_tag(
+    tables: tuple, times: np.ndarray, weights: np.ndarray, worder: np.ndarray, tagged: np.ndarray
+) -> None:
+    """Fill one sub-batch's weight order and tag flags from its times and weights."""
+    worder[...] = _row_order(weights)
+    tagged[...] = _tag_sub_batch(*tables, _arrival_keys(times), worder)
+
+
 def batch_tag_matrix(
     p: Poset, times: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stable weight order and the (trials, n) element-major tag matrix.
 
-    worder[b] lists row b's elements lightest first, ties broken by index.
-    tagged[b, x] is True iff element x, when it arrives in trial b, is the
-    greedy maximum of the order induced on everything arrived so far.
+    worder[b] (uint8) lists row b's elements lightest first, ties broken by
+    index.  tagged[b, x] is True iff element x, when it arrives in trial b,
+    is the greedy maximum of the order induced on everything arrived so far.
     Raises TooLargeError when p.n exceeds SIM_CAP.
     """
-    check_sim_cap(p.n)
-    n = p.n
-    B = times.shape[0]
-    dtype = _mask_dtype(n)
-    bits = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
-    up = np.array(p.above_masks, dtype=dtype)
-    walk = _cover_walk(p)
-    worder = np.empty((B, n), dtype=np.intp)
-    tagged = np.empty((B, n), dtype=bool)
-    for lo in range(0, B, _SUB_BATCH):
+    tables = _kernel_tables(p)
+    worder = np.empty(times.shape, dtype=np.uint8)  # n <= SIM_CAP
+    tagged = np.empty(times.shape, dtype=bool)
+    for lo in range(0, times.shape[0], _SUB_BATCH):
         rows = slice(lo, lo + _SUB_BATCH)
-        worder[rows] = _weight_order(weights[rows])
-        tagged[rows] = _tag_sub_batch(bits, up, walk, _arrival_keys(times[rows]), worder[rows])
+        _order_and_tag(tables, times[rows], weights[rows], worder[rows], tagged[rows])
     return worder, tagged
+
+
+def chunk_tags(
+    p: Poset, master_seed: int, chunk_index: int, rows: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, worder, tagged) of one canonical chunk, drawn and tagged per sub-batch.
+
+    Equal to chunk_uniforms' times and batch_tag_matrix on its output, but
+    the weights live only one sub-batch at a time.  Raises TooLargeError
+    when p.n exceeds SIM_CAP, before anything is drawn.
+    """
+    tables = _kernel_tables(p)
+    n = p.n
+    times = np.empty((rows, n))
+    worder = np.empty((rows, n), dtype=np.uint8)
+    tagged = np.empty((rows, n), dtype=bool)
+    for lo, piece in _chunk_pieces(n, master_seed, chunk_index, rows):
+        sub = slice(lo, lo + len(piece))
+        times[sub] = piece[:, :n]
+        _order_and_tag(tables, piece[:, :n], piece[:, n:], worder[sub], tagged[sub])
+    return times, worder, tagged
 
 
 def _tag_sub_batch(
@@ -264,10 +316,15 @@ def batch_accept(
     """First tagged arrival strictly after tau; (accepted or -1, success).
 
     Equal times go to the lowest index, as in the stable arrival order.
+    Rows are worked in sub-batches, which bounds the float64 temporary.
     """
-    due = np.where(tagged & (times > tau), times, np.inf)
-    first = due.argmin(axis=1)
-    has = due[np.arange(due.shape[0]), first] < np.inf
+    first = np.empty(times.shape[0], dtype=np.intp)
+    has = np.empty(times.shape[0], dtype=bool)
+    for lo in range(0, times.shape[0], _SUB_BATCH):
+        rows = slice(lo, lo + _SUB_BATCH)
+        due = np.where(tagged[rows] & (times[rows] > tau), times[rows], np.inf)
+        first[rows] = due.argmin(axis=1)
+        has[rows] = due[np.arange(due.shape[0]), first[rows]] < np.inf
     return np.where(has, first, -1), has & is_maximal[first]
 
 
@@ -284,4 +341,4 @@ def batch_last_tag_time(times: np.ndarray, tagged: np.ndarray, t: float) -> np.n
 
 def batch_greedy_maximum(lt: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Greedy maximum of the full poset for a batch of weight vectors."""
-    return greedy_scan(lt, _weight_order(weights))
+    return greedy_scan(lt, _row_order(weights))

@@ -8,11 +8,12 @@ family-wise control, so a suite of dozens of tests flags a correct
 implementation far more often than alpha.
 
 One pass per chunk: each canonical chunk is drawn and tagged once
-(_tag_chunk), and every statistic is a reducer of that chunk's (times,
-weights, worder, tagged): the uniforms, each row's stable weight order and
-the element-major tag flags.  Acceptance and last-tag times read tagged
-elements' times directly; only the lemma-2 checks, which count by arrival
-position, sort the chunk by arrival.  Lemma 4's pinned check reads no tag
+(_tag_chunk, through engine.chunk_tags), and every statistic is a reducer of
+that chunk's (times, worder, tagged): the arrival times, each row's stable
+weight order and the element-major tag flags.  No reducer reads the weights,
+which live one sub-batch at a time.  Acceptance and last-tag times read
+tagged elements' times directly; only the lemma-2 checks, which count by
+arrival position, sort the chunk by arrival.  Lemma 4's pinned check reads no tag
 flags: one bitmask scan over the weight order per pinned time serves every
 maximal element (see _pinned_tags).  verify_lemmas runs all requested checks
 over one pass and at most one process pool; each per-lemma function runs the
@@ -144,7 +145,11 @@ def wilson_interval(
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
@@ -163,7 +168,8 @@ def _run_chunks(task: Callable, trials: int, workers: int | None) -> list:
     """Apply a per-chunk tally function over the canonical chunk layout.
 
     Results are collected in chunk order; tallies are integers or arrays of
-    integers, so any reduction downstream is partition-independent.
+    integers, so any reduction downstream is partition-independent.  The
+    pool has no more workers than chunks: it forks all of them up front.
     """
     if trials < 1:
         raise ZeroTrialsError("need at least one trial")
@@ -171,6 +177,7 @@ def _run_chunks(task: Callable, trials: int, workers: int | None) -> list:
     workers = _resolve_workers(workers)
     if workers == 1 or len(layout) == 1:
         return [task(c, rows) for c, rows in layout]
+    workers = min(workers, len(layout))
     with ProcessPoolExecutor(workers, initializer=_pin_worker, initargs=(Value("i"),)) as pool:
         futures = [pool.submit(task, c, rows) for c, rows in layout]
         return [f.result() for f in futures]
@@ -180,9 +187,8 @@ def _tag_chunk(
     p: Poset, reducers: tuple[Callable, ...], master_seed: int, chunk: int, rows: int
 ) -> list:
     """Draw and tag one canonical chunk, then apply every reducer to it."""
-    times, weights = engine.chunk_uniforms(p.n, master_seed, chunk, rows)
-    worder, tagged = engine.batch_tag_matrix(p, times, weights)
-    return [reduce(times, weights, worder, tagged) for reduce in reducers]
+    times, worder, tagged = engine.chunk_tags(p, master_seed, chunk, rows)
+    return [reduce(times, worder, tagged) for reduce in reducers]
 
 
 def _greedy_count_chunk(p: Poset, master_seed: int, chunk: int, rows: int) -> np.ndarray:
@@ -191,13 +197,13 @@ def _greedy_count_chunk(p: Poset, master_seed: int, chunk: int, rows: int) -> np
     return np.bincount(z, minlength=p.n)
 
 
-# -- reducers: (times, weights, worder, tagged) of one chunk -> tally ----------
+# -- reducers: (times, worder, tagged) of one chunk -> tally -------------------
 # tagged is element-major (see engine.batch_tag_matrix); only the lemma-2
 # reducers, which count by arrival position, sort a chunk by arrival.
 # Module-level functions bound with partial, so they pickle for the pool.
 
 
-def _success_counts(is_maximal, taus, times, weights, worder, tagged) -> np.ndarray:
+def _success_counts(is_maximal, taus, times, worder, tagged) -> np.ndarray:
     out = np.empty(len(taus), dtype=np.int64)
     for i, tau in enumerate(taus):
         _, success = engine.batch_accept(times, tagged, tau, is_maximal)
@@ -207,22 +213,22 @@ def _success_counts(is_maximal, taus, times, weights, worder, tagged) -> np.ndar
 
 def _tags_by_arrival(times: np.ndarray, tagged: np.ndarray) -> np.ndarray:
     """tagged with column k holding the (k+1)-th arrival's flag, ties by index."""
-    return np.take_along_axis(tagged, engine._stable_argsort(times), axis=1)
+    return np.take_along_axis(tagged, engine._row_order(times), axis=1)
 
 
-def _tag_pair_counts(times, weights, worder, tagged) -> np.ndarray:
+def _tag_pair_counts(times, worder, tagged) -> np.ndarray:
     # float64 runs on BLAS and is exact: a chunk's counts stay far below 2^53
     flags = _tags_by_arrival(times, tagged).astype(np.float64)
     return (flags.T @ flags).astype(np.int64)
 
 
-def _tag_pattern_counts(times, weights, worder, tagged) -> np.ndarray:
+def _tag_pattern_counts(times, worder, tagged) -> np.ndarray:
     n = tagged.shape[1]
     codes = _tags_by_arrival(times, tagged) @ (1 << np.arange(n, dtype=np.int64))
     return np.bincount(codes, minlength=1 << n)
 
 
-def _last_tag_values(t, times, weights, worder, tagged) -> np.ndarray:
+def _last_tag_values(t, times, worder, tagged) -> np.ndarray:
     vals = engine.batch_last_tag_time(times, tagged, t)
     return vals[~np.isnan(vals)]
 
@@ -299,7 +305,7 @@ def _pinned_tags(
     return out
 
 
-def _pinned_hits(up_masks, pins, times, weights, worder, tagged) -> np.ndarray:
+def _pinned_hits(up_masks, pins, times, worder, tagged) -> np.ndarray:
     return np.count_nonzero(_pinned_tags(up_masks, pins, times, worder), axis=1)
 
 

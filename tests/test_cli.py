@@ -60,6 +60,12 @@ class TestSimulate:
         code, _, err = run("simulate", "wedge", "--tau", "1.5")
         assert code == 3 and "tau" in err
 
+    def test_non_integer_workers_variable_is_exit_3_naming_it(self, run, monkeypatch):
+        monkeypatch.setenv(montecarlo.WORKERS_ENV, "two")
+        code, out, err = run(*SIM)
+        assert code == 3 and out == ""
+        assert montecarlo.WORKERS_ENV in err and "'two'" in err
+
     def test_unknown_source_is_exit_2(self, run):
         code, _, _ = run("simulate", "spiral:9")
         assert code == 2
@@ -186,7 +192,7 @@ class TestVerify:
         def no_draws(*args):
             raise AssertionError("drew a chunk before every lemma was validated")
 
-        monkeypatch.setattr(engine, "chunk_uniforms", no_draws)
+        monkeypatch.setattr(engine, "_philox", no_draws)
         code, out, err = run("verify", "antichain:9")
         assert code == 4 and out == "" and "n <= 8" in err
         # the lemma-2 trials floor is checked first

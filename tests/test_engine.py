@@ -10,11 +10,14 @@ import pytest
 from poset_secretary.engine import (
     CHUNK_TRIALS,
     SIM_CAP,
+    _SUB_BATCH,
+    _chunk_pieces,
     batch_accept,
     batch_greedy_maximum,
     batch_last_tag_time,
     batch_tag_matrix,
     chunk_layout,
+    chunk_tags,
     chunk_uniforms,
     trial_for_index,
 )
@@ -57,7 +60,7 @@ def top_down(p):
 
 def assert_matches_reference(p, times, weights):
     worder, tagged = batch_tag_matrix(p, times, weights)
-    assert worder.dtype == np.intp and tagged.dtype == bool
+    assert worder.dtype == np.uint8 and tagged.dtype == bool
     assert worder.shape == tagged.shape == times.shape
     for b in range(times.shape[0]):
         trial = Trial(times[b], weights[b])
@@ -96,6 +99,23 @@ class TestChunking:
             times, weights = chunk_uniforms(4, 42, chunk, row + 1)
             assert np.array_equal(tr.arrival_times, times[row])
             assert np.array_equal(tr.weights, weights[row])
+
+    @pytest.mark.parametrize("rows", [CHUNK_TRIALS, 3 * _SUB_BATCH + 17])
+    def test_pieces_are_the_chunk_draw_bit_for_bit(self, rows):
+        times, weights = chunk_uniforms(6, 99, 2, rows)
+        pieces = [(lo, piece.copy()) for lo, piece in _chunk_pieces(6, 99, 2, rows)]
+        assert [lo for lo, _ in pieces] == list(range(0, rows, _SUB_BATCH))
+        drawn = np.concatenate([piece for _, piece in pieces])
+        assert np.array_equal(drawn.view(np.uint64), np.hstack([times, weights]).view(np.uint64))
+
+    def test_trial_for_index_agrees_with_the_pieces(self):
+        pieces = {lo: piece.copy() for lo, piece in _chunk_pieces(4, 42, 1, 2 * _SUB_BATCH)}
+        for row in (_SUB_BATCH - 1, _SUB_BATCH, 2 * _SUB_BATCH - 1):
+            tr = trial_for_index(4, 42, CHUNK_TRIALS + row)
+            lo, i = divmod(row, _SUB_BATCH)
+            piece = pieces[lo * _SUB_BATCH][i]
+            assert np.array_equal(tr.arrival_times.view(np.uint64), piece[:4].view(np.uint64))
+            assert np.array_equal(tr.weights.view(np.uint64), piece[4:].view(np.uint64))
 
     def test_trial_index_validated(self):
         with pytest.raises(ValueError):
@@ -196,11 +216,25 @@ class TestBitmaskKernel:
                 assert np.array_equal(got, want[lo:hi])
 
 
+class TestChunkTags:
+    @pytest.mark.parametrize("p", [POSETS[-1], relabelled(random_poset(64, 0.1, seed=3), seed=3)])
+    @pytest.mark.parametrize("rows", [CHUNK_TRIALS, 3 * _SUB_BATCH + 17, 5])
+    def test_equals_the_kernel_on_the_whole_chunk_draw(self, p, rows):
+        times, weights = chunk_uniforms(p.n, 8, 3, rows)
+        want = (times, *batch_tag_matrix(p, times, weights))
+        got = chunk_tags(p, 8, 3, rows)
+        assert [a.dtype for a in got] == [np.float64, np.uint8, bool]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 class TestSimCap:
     def test_over_cap_raises_naming_the_cap(self):
         times, weights = batches(SIM_CAP + 1, 1, seed=0)
         with pytest.raises(TooLargeError, match="cap"):
             batch_tag_matrix(antichain(SIM_CAP + 1), times, weights)
+        with pytest.raises(TooLargeError, match="cap"):
+            chunk_tags(antichain(SIM_CAP + 1), 0, 0, 1)
 
 
 def with_quarter_times(times):
@@ -219,6 +253,18 @@ class TestBatchAccept:
             accepted, success = batch_accept(times, tagged, tau, p.is_maximal)
             for b in range(400):
                 out = run_strategy(p, Trial(times[b], weights[b]), tau)
+                assert accepted[b] == (-1 if out.accepted is None else out.accepted)
+                assert success[b] == out.success
+
+    def test_rows_past_the_first_sub_batch(self):
+        p = random_poset(7, 0.3, seed=5)
+        rows = 2 * _SUB_BATCH + 5
+        drawn, weights = batches(7, rows, seed=18)
+        for times in with_quarter_times(drawn):
+            _, tagged = batch_tag_matrix(p, times, weights)
+            accepted, success = batch_accept(times, tagged, 0.25, p.is_maximal)
+            for b in (0, _SUB_BATCH - 1, _SUB_BATCH, 2 * _SUB_BATCH, rows - 1):
+                out = run_strategy(p, Trial(times[b], weights[b]), 0.25)
                 assert accepted[b] == (-1 if out.accepted is None else out.accepted)
                 assert success[b] == out.success
 

@@ -5,7 +5,11 @@ the million-trial battery lives in the acceptance tests.
 """
 
 import math
+import multiprocessing
 import os
+import tracemalloc
+from concurrent.futures import Future
+from functools import partial
 
 import numpy as np
 import pytest
@@ -54,7 +58,7 @@ class TestSimulationCap:
         def no_draws(*args):
             raise AssertionError("drew a chunk above the simulation cap")
 
-        monkeypatch.setattr(engine, "chunk_uniforms", no_draws)
+        monkeypatch.setattr(engine, "_philox", no_draws)
         with pytest.raises(TooLargeError, match="cap"):
             check(antichain(SIM_CAP + 1))
 
@@ -110,12 +114,17 @@ class TestEstimate:
         def stable_sort(a):
             raise StableSort
 
+        lemma_2 = verify_lemmas(chain(20), ["2"], TRIALS, master_seed=3, workers=1)
         monkeypatch.setattr(engine, "_stable_argsort", stable_sort)
         assert estimate_success(chain(20), 0.4, TRIALS, master_seed=3, workers=1) == want
+        assert verify_lemmas(chain(20), ["2"], TRIALS, master_seed=3, workers=1) == lemma_2
         times, weights = engine.chunk_uniforms(20, 3, 0, 100)
         for tied in ((np.floor(times * 4) / 4, weights), (times, np.floor(weights * 4) / 4)):
             with pytest.raises(StableSort):
                 batch_tag_matrix(chain(20), *tied)
+        _, tagged = batch_tag_matrix(chain(20), times, weights)
+        with pytest.raises(StableSort):
+            montecarlo._tags_by_arrival(np.floor(times * 4) / 4, tagged)
 
     def test_singleton_closed_form(self):
         est = estimate_success(chain(1), 1 / math.e, 100_000, master_seed=0)
@@ -164,7 +173,7 @@ class TestSweep:
         def no_draws(*args):
             raise AssertionError("drew a chunk for an invalid sweep")
 
-        monkeypatch.setattr(engine, "chunk_uniforms", no_draws)
+        monkeypatch.setattr(engine, "_philox", no_draws)
         with pytest.raises(ValueError):
             threshold_sweep(chain(1), [0.2, 1.0], 100)
         with pytest.raises(ValueError):
@@ -356,7 +365,7 @@ class TestVerifyLemmas:
         assert got[-1].statistic == "mu_monotonicity" and got[-1].passed
 
     def test_each_chunk_is_drawn_and_tagged_once(self, monkeypatch):
-        calls = {"chunk_uniforms": 0, "batch_tag_matrix": 0}
+        calls = {"_philox": 0, "chunk_tags": 0}
         for name in calls:
             def counted(*args, _fn=getattr(engine, name), _name=name):
                 calls[_name] += 1
@@ -364,7 +373,7 @@ class TestVerifyLemmas:
 
             monkeypatch.setattr(engine, name, counted)
         verify_lemmas(wedge(), LEMMAS, CHUNK_TRIALS + 1, master_seed=0)
-        assert calls == {"chunk_uniforms": 2, "batch_tag_matrix": 2}
+        assert calls == {"_philox": 2, "chunk_tags": 2}
 
     def test_pinned_references_come_from_one_table(self, monkeypatch):
         calls = []
@@ -383,13 +392,28 @@ class TestVerifyLemmas:
         def no_draws(*args):
             raise AssertionError("drew a chunk for an exact-only check")
 
-        monkeypatch.setattr(engine, "chunk_uniforms", no_draws)
+        monkeypatch.setattr(engine, "_philox", no_draws)
         [rep] = verify_lemmas(wedge(), ["5"], trials=0)
         assert rep.statistic == "mu_monotonicity" and rep.passed
 
     def test_unknown_lemma_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             verify_lemmas(wedge(), ["2", "6"], trials=6_000)
+
+
+class TestChunkFootprint:
+    @pytest.mark.parametrize("p", [chain(20), antichain(64)])
+    def test_a_chunk_pass_peaks_below_twice_its_times(self, p):
+        # the chunk keeps float64 times, a uint8 weight order and bool tags;
+        # the weights and every float64 temporary live one sub-batch at a time
+        reducer = partial(montecarlo._success_counts, p.is_maximal, (0.3679,))
+        tracemalloc.start()
+        try:
+            montecarlo._tag_chunk(p, (reducer,), 0, 0, CHUNK_TRIALS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * CHUNK_TRIALS * p.n * np.dtype(np.float64).itemsize
 
 
 class TestDeterminismAcrossChunks:
@@ -402,6 +426,36 @@ class TestDeterminismAcrossChunks:
         a = estimate_success(antichain(3), 0.3, trials, master_seed=11, workers=1)
         b = estimate_success(antichain(3), 0.3, trials, master_seed=11, workers=2)
         assert a == b
+
+
+class TestPoolSize:
+    def test_the_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Stands in for ProcessPoolExecutor: records its size, runs tasks in-process."""
+
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        trials = 2 * CHUNK_TRIALS + 4464  # three chunks
+        got = _run_chunks(lambda c, rows: (c, rows), trials, workers=64)
+        assert got == engine.chunk_layout(trials)
+        assert _run_chunks(lambda c, rows: (c, rows), trials, workers=2) == got
+        assert sizes == [3, 2]
+        assert multiprocessing.active_children() == []
 
 
 def _placement(chunk, rows):
