@@ -17,6 +17,8 @@ identical for any parallel layout.
 Exit codes: 0 ok / checks passed, 1 verification failure, 2 source parse
 error, 3 invalid parameter, 4 over a size cap (n <= 10 for exact mu, n <= 8
 for exact mu_t and the verify checks that use it, n <= 64 for simulation).
+No command takes n > 64, so a source over that is refused before its
+relation is built.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import (
     TooLargeError,
     ZeroTrialsError,
 )
+from .engine import SIM_CAP
 from .families import parse_generator_spec
 from .greedy import mu_exact, mu_t_exact
 from .montecarlo import (
@@ -48,8 +51,8 @@ from .montecarlo import (
     threshold_sweep,
     verify_lemmas,
 )
-from .posetfile import parse_poset_text
-from .posets import Poset
+from .posetfile import parse_poset_relations
+from .posets import Poset, from_relations
 from .simulate import TAU_DEFAULT
 
 EXIT_OK = 0
@@ -61,21 +64,29 @@ EXIT_OVER_CAP = 4
 _FAMILIES = ("chain", "antichain", "wedge", "boolean", "forest", "random")
 
 
+def _check_size(n: int) -> None:
+    """Refuse a source over every command's cap before its n-by-n relation exists."""
+    if n > SIM_CAP:
+        raise TooLargeError(f"n={n} is over the size cap of every command (n <= {SIM_CAP})")
+
+
 def _load_poset(source: str) -> Poset:
     """Resolve a source: generator specs win over file paths."""
     family = source.split(":", 1)[0]
     if family in _FAMILIES:
-        return parse_generator_spec(source).build()
+        spec = parse_generator_spec(source)
+        _check_size(spec.n)
+        return spec.build()
     if os.path.exists(source):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise SourceError(f"cannot read poset file {source!r}: {exc}") from exc
+        n, pairs = parse_poset_relations(text)
+        _check_size(n)
         try:
-            return parse_poset_text(text)
-        except PosetFileError:
-            raise
+            return from_relations(n, pairs)
         except (CycleError, IndexError, ValueError) as exc:
             # bad indices, cycles, or an empty header are content problems
             raise PosetFileError(f"{source}: {exc}") from exc

@@ -4,14 +4,23 @@ Randomness contract: trial i is row (i mod CHUNK_TRIALS) of canonical chunk
 (i div CHUNK_TRIALS), and chunk c of a run with master seed s is the Philox
 stream keyed by the two 64-bit words (s, c).  Each row holds the trial's 2n
 uniforms: arrival times first, then weights -- exactly the draw order of
-simulate.sample_trial.  Chunk boundaries are fixed constants, so every
-reported number is a pure function of (poset, parameters, master seed) and
-workers only decide who computes which chunk, never what comes out.  A chunk
-may be drawn in consecutive pieces of rows: the stream continues where the
-last piece ended, so the pieces are bit-identical to one whole-chunk draw.
-chunk_tags draws and tags a chunk _SUB_BATCH rows at a time, so its weights
-never exist at chunk level; it returns float64 times, the uint8 weight order
-(n <= SIM_CAP) and the bool tag matrix, each (rows, n).
+simulate.sample_trial.  Each uniform is (word >> 11) * 2^-53 of the stream's
+next raw word, as Generator.random makes it.  Chunk boundaries are fixed
+constants, so every reported number is a pure function of (poset,
+parameters, master seed) and workers only decide who computes which chunk,
+never what comes out.  A chunk may be drawn in consecutive pieces of rows:
+the stream continues where the last piece ended, so the pieces are
+bit-identical to one whole-chunk draw.  chunk_tags draws and tags a chunk
+_SUB_BATCH rows at a time, so its weights never exist at chunk level; it
+returns float64 times, the uint8 weight order (n <= SIM_CAP) and the bool
+tag matrix, each (rows, n).
+
+Key rule: chunk_tags orders elements by the keys (word >> 11) << 6 | x,
+unique in a row and ascending as the stable order does (by value, then by
+index), so one uint64 sort gives the weight order, the time keys are the
+arrival keys that "earlier" compares below, and no tie needs a check.
+batch_tag_matrix takes any floats: it uses the stable argsort and uint8
+stable arrival ranks.
 
 The tag matrix gives the same flags as simulate.tag_sequence without running
 its greedy scan once per arrival prefix.  It is element-major: tagged[b, x]
@@ -23,13 +32,6 @@ both hold:
   (a) the greedy maximum of the arrivals that are earlier *and* lighter than
       x lies below x, or there is no such arrival;
   (b) no earlier arrival lies above x.
-
-"Earlier" compares arrival keys: the times themselves when no row of the
-sub-batch has a tied time, else the stable arrival ranks.  The weight order
-is numpy's default argsort (SIMD where the CPU has it) unless np.sort shows
-a tied pair of weights in the sub-batch, and then the stable one.  Both
-choices are exact: in a row without ties, times order the arrivals as their
-stable ranks do, and every sort gives the one weight order there is.
 
 Elements are bits of the smallest unsigned dtype that holds n of them, which
 caps simulation at SIM_CAP elements.  For (a), column r stands for the r-th
@@ -87,6 +89,10 @@ _SUB_BATCH = 2048
 
 _MASK64 = (1 << 64) - 1
 
+# Order keys hold a uniform's 53 bits above the element index.
+_INDEX_BITS = 6
+assert SIM_CAP <= 1 << _INDEX_BITS and 53 + _INDEX_BITS <= 64
+
 
 def _philox(master_seed: int, chunk_index: int) -> np.random.Generator:
     if not 0 <= master_seed <= _MASK64:
@@ -118,19 +124,40 @@ def chunk_uniforms(
     return mat[:, :n], mat[:, n:]
 
 
-def _chunk_pieces(n: int, master_seed: int, chunk_index: int, rows: int):
-    """Yield (first row, uniforms) of one canonical chunk, _SUB_BATCH rows at a time.
+def _with_index(ulps: np.ndarray, n: int) -> np.ndarray:
+    """Order keys, in place, of uniforms given in units of 2^-53: column j gets index j mod n."""
+    ulps <<= _INDEX_BITS
+    ulps |= np.arange(ulps.shape[1], dtype=np.uint64) % np.uint64(n)
+    return ulps
 
-    A piece holds the rows of chunk_uniforms' (rows, 2n) draw that start at
-    its first row.  Every piece is drawn into one reused buffer, so each is
-    overwritten by the next.
+
+def _time_keys(times: np.ndarray) -> np.ndarray:
+    """Order keys of times that are multiples of 2^-53 in [0, 1], as every chunk draw is."""
+    keys = np.empty(times.shape, dtype=np.uint64)
+    np.multiply(times, 2.0**53, out=keys, casting="unsafe")  # exact under the precondition
+    return _with_index(keys, times.shape[1])
+
+
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    """Each row's elements (uint8) in ascending key order, i.e. the stable order."""
+    order = np.sort(keys, axis=1).astype(np.uint8)
+    order &= (1 << _INDEX_BITS) - 1
+    return order
+
+
+def _chunk_pieces(n: int, master_seed: int, chunk_index: int, rows: int):
+    """Yield (first row, times, keys) of one canonical chunk, _SUB_BATCH rows at a time.
+
+    A piece holds the rows that start at its first row: times (m, n) equal to
+    chunk_uniforms' times bit for bit, and the order keys (m, 2n) of the same
+    rows' times, then weights.
     """
-    rng = _philox(master_seed, chunk_index)
-    buf = np.empty((min(rows, _SUB_BATCH), 2 * n))
+    bitgen = _philox(master_seed, chunk_index).bit_generator
     for lo in range(0, rows, _SUB_BATCH):
-        piece = buf[: min(_SUB_BATCH, rows - lo)]
-        rng.random(out=piece)
-        yield lo, piece
+        words = bitgen.random_raw((min(_SUB_BATCH, rows - lo), 2 * n))
+        words >>= 11
+        times = words[:, :n] * 2.0**-53
+        yield lo, times, _with_index(words, n)
 
 
 def trial_for_index(n: int, master_seed: int, trial_index: int) -> Trial:
@@ -147,30 +174,8 @@ def _stable_argsort(a: np.ndarray) -> np.ndarray:
     return np.argsort(a, axis=1, kind="stable")
 
 
-def _has_ties(a: np.ndarray) -> bool:
-    """Whether some row of a holds two equal values."""
-    s = np.sort(a, axis=1)
-    return bool((s[:, 1:] == s[:, :-1]).any())
-
-
-def _row_order(a: np.ndarray) -> np.ndarray:
-    """Each row's stable order, smallest first.
-
-    numpy's default argsort (SIMD where the CPU has it) is not stable, but a
-    row without ties has only one order, so the stable sort runs only when
-    some row of the batch has a tie.
-    """
-    return _stable_argsort(a) if _has_ties(a) else np.argsort(a, axis=1)
-
-
-def _arrival_keys(times: np.ndarray) -> np.ndarray:
-    """Per-element keys whose row order is the stable arrival order.
-
-    The times themselves when no row has a tie, else each element's arrival
-    rank with ties broken by index.
-    """
-    if not _has_ties(times):
-        return times
+def _arrival_ranks(times: np.ndarray) -> np.ndarray:
+    """Each element's arrival rank, ties broken by index."""
     rank = np.empty(times.shape, dtype=np.uint8)  # n <= SIM_CAP
     positions = np.arange(times.shape[1], dtype=np.uint8)
     np.put_along_axis(rank, _stable_argsort(times), positions, axis=1)
@@ -199,8 +204,8 @@ def _cover_walk(p: Poset) -> list[tuple[int, list[int]]]:
     covers: list[list[int]] = [[] for _ in range(p.n)]
     for a, c in transitive_reduction(p):
         covers[a].append(c)
-    order = np.argsort(p.lt.sum(axis=1), kind="stable")
-    return [(int(x), covers[x]) for x in order if covers[x]]
+    above = p.lt.sum(axis=1).tolist()
+    return [(x, covers[x]) for x in sorted(range(p.n), key=above.__getitem__) if covers[x]]
 
 
 def _kernel_tables(p: Poset) -> tuple:
@@ -210,14 +215,6 @@ def _kernel_tables(p: Poset) -> tuple:
     bits = np.left_shift(dtype(1), np.arange(p.n, dtype=dtype))
     up = np.array(p.above_masks, dtype=dtype)
     return bits, up, _cover_walk(p)
-
-
-def _order_and_tag(
-    tables: tuple, times: np.ndarray, weights: np.ndarray, worder: np.ndarray, tagged: np.ndarray
-) -> None:
-    """Fill one sub-batch's weight order and tag flags from its times and weights."""
-    worder[...] = _row_order(weights)
-    tagged[...] = _tag_sub_batch(*tables, _arrival_keys(times), worder)
 
 
 def batch_tag_matrix(
@@ -235,7 +232,8 @@ def batch_tag_matrix(
     tagged = np.empty(times.shape, dtype=bool)
     for lo in range(0, times.shape[0], _SUB_BATCH):
         rows = slice(lo, lo + _SUB_BATCH)
-        _order_and_tag(tables, times[rows], weights[rows], worder[rows], tagged[rows])
+        worder[rows] = _stable_argsort(weights[rows])
+        tagged[rows] = _tag_sub_batch(*tables, _arrival_ranks(times[rows]), worder[rows])
     return worder, tagged
 
 
@@ -253,10 +251,11 @@ def chunk_tags(
     times = np.empty((rows, n))
     worder = np.empty((rows, n), dtype=np.uint8)
     tagged = np.empty((rows, n), dtype=bool)
-    for lo, piece in _chunk_pieces(n, master_seed, chunk_index, rows):
-        sub = slice(lo, lo + len(piece))
-        times[sub] = piece[:, :n]
-        _order_and_tag(tables, piece[:, :n], piece[:, n:], worder[sub], tagged[sub])
+    for lo, piece_times, keys in _chunk_pieces(n, master_seed, chunk_index, rows):
+        sub = slice(lo, lo + len(keys))
+        times[sub] = piece_times
+        worder[sub] = _key_order(keys[:, n:])
+        tagged[sub] = _tag_sub_batch(*tables, keys[:, :n], worder[sub])
     return times, worder, tagged
 
 
@@ -341,4 +340,4 @@ def batch_last_tag_time(times: np.ndarray, tagged: np.ndarray, t: float) -> np.n
 
 def batch_greedy_maximum(lt: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Greedy maximum of the full poset for a batch of weight vectors."""
-    return greedy_scan(lt, _row_order(weights))
+    return greedy_scan(lt, _stable_argsort(weights))

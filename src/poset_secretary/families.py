@@ -91,6 +91,19 @@ class GeneratorSpec:
     edge_probability: float | None = None
     seed: int | None = None
 
+    @property
+    def n(self) -> int:
+        """Element count of the poset build() makes, from the parameters alone.
+
+        Nothing is built or validated, so a caller can check a size cap
+        before build() allocates its n-by-n relation.
+        """
+        if self.family == "wedge":
+            return 3
+        if self.family == "boolean":
+            return 1 << max(self.sizes[0], 0)
+        return sum(self.sizes)  # forest; every other family has one size
+
     def build(self) -> Poset:
         if self.family == "chain":
             return chain(self.sizes[0])

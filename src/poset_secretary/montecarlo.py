@@ -48,7 +48,7 @@ import numpy as np
 
 from . import engine, pvalues
 from .errors import NotMaximalError, TooLargeError, ZeroTrialsError
-from .greedy import MU_T_CAP, _integrals, _mu_t, check_mu_monotonicity
+from .greedy import MU_T_CAP, _integrals, _mu_t, check_mu_monotonicity, greedy_scan
 from .posets import Poset
 from .simulate import TAU_DEFAULT
 
@@ -192,9 +192,11 @@ def _tag_chunk(
 
 
 def _greedy_count_chunk(p: Poset, master_seed: int, chunk: int, rows: int) -> np.ndarray:
-    _, weights = engine.chunk_uniforms(p.n, master_seed, chunk, rows)
-    z = engine.batch_greedy_maximum(p.lt, weights)
-    return np.bincount(z, minlength=p.n)
+    """Greedy-maximum counts of one canonical chunk, drawn one sub-batch at a time."""
+    counts = np.zeros(p.n, dtype=np.int64)
+    for _, _, keys in engine._chunk_pieces(p.n, master_seed, chunk, rows):
+        counts += np.bincount(greedy_scan(p.lt, engine._key_order(keys[:, p.n:])), minlength=p.n)
+    return counts
 
 
 # -- reducers: (times, worder, tagged) of one chunk -> tally -------------------
@@ -212,8 +214,12 @@ def _success_counts(is_maximal, taus, times, worder, tagged) -> np.ndarray:
 
 
 def _tags_by_arrival(times: np.ndarray, tagged: np.ndarray) -> np.ndarray:
-    """tagged with column k holding the (k+1)-th arrival's flag, ties by index."""
-    return np.take_along_axis(tagged, engine._row_order(times), axis=1)
+    """tagged with column k holding the (k+1)-th arrival's flag, ties by index.
+
+    times must be multiples of 2^-53 in [0, 1], as every chunk draw is: then
+    one sort of their order keys (see engine) is the stable arrival order.
+    """
+    return np.take_along_axis(tagged, engine._key_order(engine._time_keys(times)), axis=1)
 
 
 def _tag_pair_counts(times, worder, tagged) -> np.ndarray:

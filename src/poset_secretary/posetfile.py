@@ -13,14 +13,18 @@ import re
 from .errors import PosetFileError
 from .posets import Poset, from_relations, transitive_reduction
 
-__all__ = ["parse_poset_text", "format_poset_text"]
+__all__ = ["parse_poset_relations", "parse_poset_text", "format_poset_text"]
 
 _HEADER = re.compile(r"^poset\s+n=(\d+)$")
 _RELATION = re.compile(r"^(\d+)\s*<\s*(\d+)$")
 
 
-def parse_poset_text(text: str) -> Poset:
-    """Parse a poset document; syntax problems raise PosetFileError."""
+def parse_poset_relations(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The header's n and the relation pairs of a poset document, nothing built.
+
+    Syntax problems raise PosetFileError; indices are checked when the pairs
+    are built into a poset.
+    """
     n = None
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -39,7 +43,12 @@ def parse_poset_text(text: str) -> Poset:
         pairs.append((int(m.group(1)), int(m.group(2))))
     if n is None:
         raise PosetFileError("missing 'poset n=<N>' header")
-    return from_relations(n, pairs)
+    return n, pairs
+
+
+def parse_poset_text(text: str) -> Poset:
+    """Parse a poset document; syntax problems raise PosetFileError."""
+    return from_relations(*parse_poset_relations(text))
 
 
 def format_poset_text(p: Poset) -> str:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import poset_secretary
-from poset_secretary import engine, montecarlo
+from poset_secretary import cli, engine, families, montecarlo, posetfile, posets
 from poset_secretary.cli import main
+from poset_secretary.engine import SIM_CAP
 
 
 @pytest.fixture
@@ -293,6 +294,29 @@ class TestErrorTaxonomy:
     def test_over_simulation_cap_is_exit_4(self, run, argv):
         code, out, err = run(*argv)
         assert code == 4 and "cap" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "chain:1500"),
+            ("simulate", "antichain:100000000"),
+            ("exact-mu", "random:100000:0.1:1"),
+            ("verify", "forest:40,40"),
+            ("sweep", "boolean:7", "--taus", "0.5"),
+            ("exact-mu", "{file}"),
+        ],
+    )
+    def test_over_every_cap_is_refused_before_building(self, run, monkeypatch, tmp_path, argv):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a poset over every command's cap")
+
+        for module in (posets, families, posetfile, cli):
+            monkeypatch.setattr(module, "from_relations", no_build)
+        monkeypatch.setattr(posets, "Poset", no_build)
+        big = tmp_path / "big.poset"
+        big.write_text("poset n=100000000\n0 < 1\n")
+        code, out, err = run(*(a.format(file=big) for a in argv))
+        assert code == 4 and "cap" in err and str(SIM_CAP) in err and out == ""
 
     def test_zero_trials_is_exit_3(self, run):
         assert run("simulate", "wedge", "--trials", "0")[0] == 3

@@ -102,20 +102,29 @@ class TestChunking:
 
     @pytest.mark.parametrize("rows", [CHUNK_TRIALS, 3 * _SUB_BATCH + 17])
     def test_pieces_are_the_chunk_draw_bit_for_bit(self, rows):
-        times, weights = chunk_uniforms(6, 99, 2, rows)
-        pieces = [(lo, piece.copy()) for lo, piece in _chunk_pieces(6, 99, 2, rows)]
-        assert [lo for lo, _ in pieces] == list(range(0, rows, _SUB_BATCH))
-        drawn = np.concatenate([piece for _, piece in pieces])
-        assert np.array_equal(drawn.view(np.uint64), np.hstack([times, weights]).view(np.uint64))
+        for seed in (99, (1 << 64) - 1):
+            times, weights = chunk_uniforms(6, seed, 2, rows)
+            pieces = list(_chunk_pieces(6, seed, 2, rows))
+            assert [lo for lo, _, _ in pieces] == list(range(0, rows, _SUB_BATCH))
+            drawn = np.concatenate([t for _, t, _ in pieces])
+            keys = np.concatenate([k for _, _, k in pieces])
+            assert drawn.dtype == np.float64 and keys.dtype == np.uint64
+            assert np.array_equal(drawn.view(np.uint64), times.view(np.uint64))
+            # a key is the uniform's 53 bits above the element's index
+            assert np.array_equal(((keys >> 6) * 2.0**-53).view(np.uint64),
+                                  np.hstack([times, weights]).view(np.uint64))
+            assert np.array_equal(keys & 63, np.broadcast_to(np.tile(np.arange(6), 2), keys.shape))
 
     def test_trial_for_index_agrees_with_the_pieces(self):
-        pieces = {lo: piece.copy() for lo, piece in _chunk_pieces(4, 42, 1, 2 * _SUB_BATCH)}
+        pieces = {lo: (t, k) for lo, t, k in _chunk_pieces(4, 42, 1, 2 * _SUB_BATCH)}
         for row in (_SUB_BATCH - 1, _SUB_BATCH, 2 * _SUB_BATCH - 1):
             tr = trial_for_index(4, 42, CHUNK_TRIALS + row)
             lo, i = divmod(row, _SUB_BATCH)
-            piece = pieces[lo * _SUB_BATCH][i]
-            assert np.array_equal(tr.arrival_times.view(np.uint64), piece[:4].view(np.uint64))
-            assert np.array_equal(tr.weights.view(np.uint64), piece[4:].view(np.uint64))
+            times, keys = (a[i] for a in pieces[lo * _SUB_BATCH])
+            assert np.array_equal(tr.arrival_times.view(np.uint64), times.view(np.uint64))
+            uniforms = (keys >> 6) * 2.0**-53
+            assert np.array_equal(tr.arrival_times.view(np.uint64), uniforms[:4].view(np.uint64))
+            assert np.array_equal(tr.weights.view(np.uint64), uniforms[4:].view(np.uint64))
 
     def test_trial_index_validated(self):
         with pytest.raises(ValueError):

@@ -113,7 +113,7 @@ class TestSpecGrammar:
     )
     def test_parses_and_builds(self, text, n):
         spec = parse_generator_spec(text)
-        assert spec.build().n == n
+        assert spec.n == spec.build().n == n
 
     def test_round_trips_through_str(self):
         for text in ["chain:7", "wedge", "forest:2,3", "random:8:0.3:42"]:

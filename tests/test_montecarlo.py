@@ -106,25 +106,29 @@ class TestEstimate:
         assert a.successes != b.successes
 
     def test_philox_draws_take_no_stable_sort(self, monkeypatch):
+        # the Monte Carlo path orders rows by unique integer keys; only
+        # batch_tag_matrix, for caller arrays, takes the stable argsort
         want = estimate_success(chain(20), 0.4, TRIALS, master_seed=3, workers=1)
+        lemma_2 = verify_lemmas(chain(20), ["2"], TRIALS, master_seed=3, workers=1)
+        times, weights = engine.chunk_uniforms(20, 3, 0, 100)
+        quarter = np.floor(times * 4) / 4
+        _, tagged = batch_tag_matrix(chain(20), times, weights)
+        by_arrival = np.take_along_axis(tagged, engine._stable_argsort(quarter), axis=1)
 
-        class StableSort(Exception):
+        class Argsort(Exception):
             pass
 
-        def stable_sort(a):
-            raise StableSort
+        def argsort(*args, **kwargs):
+            raise Argsort
 
-        lemma_2 = verify_lemmas(chain(20), ["2"], TRIALS, master_seed=3, workers=1)
-        monkeypatch.setattr(engine, "_stable_argsort", stable_sort)
+        monkeypatch.setattr(np, "argsort", argsort)
+        monkeypatch.setattr(engine, "_stable_argsort", argsort)
         assert estimate_success(chain(20), 0.4, TRIALS, master_seed=3, workers=1) == want
         assert verify_lemmas(chain(20), ["2"], TRIALS, master_seed=3, workers=1) == lemma_2
-        times, weights = engine.chunk_uniforms(20, 3, 0, 100)
-        for tied in ((np.floor(times * 4) / 4, weights), (times, np.floor(weights * 4) / 4)):
-            with pytest.raises(StableSort):
-                batch_tag_matrix(chain(20), *tied)
-        _, tagged = batch_tag_matrix(chain(20), times, weights)
-        with pytest.raises(StableSort):
-            montecarlo._tags_by_arrival(np.floor(times * 4) / 4, tagged)
+        # quarter-grid times tie, and still break by index
+        assert np.array_equal(montecarlo._tags_by_arrival(quarter, tagged), by_arrival)
+        with pytest.raises(Argsort):
+            batch_tag_matrix(chain(20), times, weights)
 
     def test_singleton_closed_form(self):
         est = estimate_success(chain(1), 1 / math.e, 100_000, master_seed=0)
@@ -197,6 +201,13 @@ class TestGreedyMaxSampling:
         a = empirical_greedy_max(p, 30_000, master_seed=1)
         b = empirical_greedy_max(p, 30_000, master_seed=1, workers=3)
         assert np.array_equal(a, b)
+
+    def test_chunk_counts_equal_the_stable_order_of_the_chunk_draw(self):
+        p = random_poset(12, 0.3, seed=4)
+        rows = 2 * engine._SUB_BATCH + 5
+        _, weights = engine.chunk_uniforms(p.n, 6, 1, rows)
+        want = np.bincount(engine.batch_greedy_maximum(p.lt, weights), minlength=p.n)
+        assert np.array_equal(montecarlo._greedy_count_chunk(p, 6, 1, rows), want)
 
 
 class TestMarginals:
@@ -414,6 +425,18 @@ class TestChunkFootprint:
         finally:
             tracemalloc.stop()
         assert peak < 2 * CHUNK_TRIALS * p.n * np.dtype(np.float64).itemsize
+
+    def test_a_greedy_count_chunk_peaks_as_two_sub_batches_do(self):
+        # empirical_greedy_max draws a chunk one sub-batch at a time
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                montecarlo._greedy_count_chunk(chain(20), 0, 0, rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(CHUNK_TRIALS) < peak(2 * engine._SUB_BATCH) + 2 * 2**20
 
 
 class TestDeterminismAcrossChunks:
