@@ -38,8 +38,6 @@ from .families import (
     wedge,
 )
 from .greedy import (
-    MU_EXACT_CAP,
-    MU_T_CAP,
     GreedyChain,
     MonotonicityReport,
     MuTable,
@@ -85,8 +83,6 @@ __all__ = [
     "GeneratorSpecError",
     "GreedyChain",
     "LemmaReport",
-    "MU_EXACT_CAP",
-    "MU_T_CAP",
     "MonotonicityReport",
     "MuTable",
     "NotMaximalError",

@@ -15,10 +15,9 @@ Worker count is deliberately not a parameter of the output: results are
 identical for any parallel layout.
 
 Exit codes: 0 ok / checks passed, 1 verification failure, 2 source parse
-error, 3 invalid parameter, 4 over a size cap (n <= 10 for exact mu, n <= 8
-for exact mu_t and the verify checks that use it, n <= 64 for simulation).
-No command takes n > 64, so a source over that is refused before its
-relation is built.
+error, 3 invalid parameter, 4 over the size cap of every command (n <= 64,
+one bit per element in the tag kernel).  A source over it is refused before
+its relation is built.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .engine import SIM_CAP
 from .families import parse_generator_spec
-from .greedy import mu_exact, mu_t_exact
+from .greedy import mu_exact
 from .montecarlo import (
     ALPHA_DEFAULT,
     LEMMAS,
@@ -219,7 +218,7 @@ def _cmd_exact_mu(args) -> int:
     for x in range(p.n):
         row = {"element": x, "mu": str(table[x])}
         if t is not None and x in p.maximal:
-            row["mu_t"] = str(mu_t_exact(p, x, t))
+            row["mu_t"] = str(table.mu_t(x, t))
         rows.append(row)
     command = f"poset-secretary exact-mu {args.source}"
     if t is not None:

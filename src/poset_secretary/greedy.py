@@ -27,12 +27,12 @@ f_x(0) = 1 at t = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotMaximalError, TooLargeError
+from .errors import NotMaximalError
 from .posets import Poset
 
 __all__ = [
@@ -47,13 +47,7 @@ __all__ = [
     "mu_t_exact",
     "check_mu_monotonicity",
     "MonotonicityReport",
-    "MU_EXACT_CAP",
-    "MU_T_CAP",
 ]
-
-# Size caps of the exact tables; larger inputs raise TooLargeError.
-MU_EXACT_CAP = 10
-MU_T_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -100,15 +94,39 @@ class GreedyChain:
 
 @dataclass(frozen=True)
 class MuTable:
-    """Exact per-element probability of being the greedy maximum."""
+    """Exact per-element probability of being the greedy maximum, and mu_t.
+
+    integrals[x] holds the coefficients of the integral from 0 to v of
+    f_x(1 - s) ds, lowest first: the poset's one density table, from which
+    mu and every mu_t are read.
+    """
 
     values: tuple[Fraction, ...]
+    integrals: tuple[tuple[Fraction, ...], ...] = field(repr=False, compare=False)
+    maximal: frozenset[int] = field(repr=False, compare=False)
 
     def __getitem__(self, x: int) -> Fraction:
         return self.values[x]
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def mu_t(self, x: int, t) -> Fraction:
+        """mu(x) conditioned on x's weight being at most t, exactly.
+
+        Defined only for maximal x, where it is (1/t) times the integral of
+        f_x over [0, t].  At t=1 the value equals mu(x); at t=0 it is
+        f_x(0) = 1.
+        """
+        t = _as_unit_fraction(t)
+        if not 0 <= x < len(self.values):
+            raise IndexError(f"element {x} out of range for n={len(self.values)}")
+        if x not in self.maximal:
+            raise NotMaximalError(f"element {x} is not maximal")
+        if t == 0:
+            return Fraction(1)
+        integral = self.integrals[x]
+        return (sum(integral) - sum(a * (1 - t) ** i for i, a in enumerate(integral))) / t
 
 
 def greedy_chain(p: Poset, w: WeightRanking) -> GreedyChain:
@@ -191,37 +209,16 @@ def _visit_densities(p: Poset) -> list[list[Fraction]]:
     return f
 
 
-def _integrals(p: Poset) -> list[list[Fraction]]:
-    """Per element x, the coefficients of the integral from 0 to v of f_x(1 - s) ds.
+def mu_exact(p: Poset) -> MuTable:
+    """Exact greedy-maximum distribution: mu(x) = integral of f_x over [0, 1].
 
-    The one density table of a poset: mu and every mu_t come from it.
+    The returned table also gives every mu_t (see MuTable.mu_t).
     """
-    return [_antiderivative(c) for c in _visit_densities(p)]
-
-
-def _mu_t(integral: list[Fraction], t: Fraction) -> Fraction:
-    """(1/t) times the integral of f_x over [0, t], from x's entry of _integrals.
-
-    At t = 0 that is f_x(0) = 1; at t = 1 it is mu(x).
-    """
-    if t == 0:
-        return Fraction(1)
-    return (sum(integral) - sum(a * (1 - t) ** i for i, a in enumerate(integral))) / t
-
-
-def _mu_table(p: Poset, integrals: list[list[Fraction]]) -> MuTable:
+    integrals = tuple(tuple(_antiderivative(c)) for c in _visit_densities(p))
     values = tuple(sum(integrals[x]) if x in p.maximal else Fraction(0) for x in range(p.n))
     # The chain always ends at a maximal element and some chain always exists.
-    assert all(values[x] == 0 for x in range(p.n) if x not in p.maximal)
-    assert sum(values[x] for x in p.maximal) == 1
-    return MuTable(values)
-
-
-def mu_exact(p: Poset) -> MuTable:
-    """Exact greedy-maximum distribution: mu(x) = integral of f_x over [0, 1]."""
-    if p.n > MU_EXACT_CAP:
-        raise TooLargeError(f"mu_exact is capped at n <= {MU_EXACT_CAP}; got n={p.n}")
-    return _mu_table(p, _integrals(p))
+    assert sum(values) == 1
+    return MuTable(values, integrals, p.maximal)
 
 
 def _as_unit_fraction(t) -> Fraction:
@@ -232,20 +229,8 @@ def _as_unit_fraction(t) -> Fraction:
 
 
 def mu_t_exact(p: Poset, x: int, t) -> Fraction:
-    """mu(x) conditioned on x's weight being at most t, exactly.
-
-    Defined only for maximal x, where it is (1/t) times the integral of f_x
-    over [0, t]; requires p.n <= MU_T_CAP.  At t=1 the value equals
-    mu_exact(p)[x]; at t=0 it is f_x(0) = 1.
-    """
-    t = _as_unit_fraction(t)
-    if p.n > MU_T_CAP:
-        raise TooLargeError(f"mu_t_exact is capped at n <= {MU_T_CAP}; got n={p.n}")
-    if not 0 <= x < p.n:
-        raise IndexError(f"element {x} out of range for n={p.n}")
-    if x not in p.maximal:
-        raise NotMaximalError(f"element {x} is not maximal")
-    return _mu_t(_integrals(p)[x], t)
+    """mu(x) conditioned on x's weight being at most t, exactly (see MuTable.mu_t)."""
+    return mu_exact(p).mu_t(x, t)
 
 
 @dataclass(frozen=True)
@@ -269,15 +254,12 @@ def check_mu_monotonicity(p: Poset, grid) -> MonotonicityReport:
     violation would mean a bug; the report lists any (there must be none).
     """
     grid = tuple(_as_unit_fraction(t) for t in grid)
-    if p.n > MU_T_CAP:
-        raise TooLargeError(f"monotonicity check needs n <= {MU_T_CAP}, got {p.n}")
-    integrals = _integrals(p)
-    mu = _mu_table(p, integrals)
+    mu = mu_exact(p)
     violations = []
     checks = 0
     for x in sorted(p.maximal):
         for t in grid:
-            val = _mu_t(integrals[x], t)
+            val = mu.mu_t(x, t)
             checks += 1
             if val < mu[x]:
                 violations.append((x, t, val, mu[x]))

@@ -15,7 +15,7 @@ which live one sub-batch at a time.  Acceptance and last-tag times read
 tagged elements' times directly; only the lemma-2 checks, which count by
 arrival position, sort the chunk by arrival.  Lemma 4's pinned check reads no tag
 flags: one bitmask scan over the weight order per pinned time serves every
-maximal element (see _pinned_tags).  verify_lemmas runs all requested checks
+maximal element (see _pinned_tags), one sub-batch of the chunk at a time.  verify_lemmas runs all requested checks
 over one pass and at most one process pool; each per-lemma function runs the
 same code path with its own check.
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import engine, pvalues
 from .errors import NotMaximalError, TooLargeError, ZeroTrialsError
-from .greedy import MU_T_CAP, _integrals, _mu_t, check_mu_monotonicity, greedy_scan
+from .greedy import check_mu_monotonicity, greedy_scan, mu_exact
 from .posets import Poset
 from .simulate import TAU_DEFAULT
 
@@ -312,7 +312,12 @@ def _pinned_tags(
 
 
 def _pinned_hits(up_masks, pins, times, worder, tagged) -> np.ndarray:
-    return np.count_nonzero(_pinned_tags(up_masks, pins, times, worder), axis=1)
+    # one sub-batch at a time, so the scan's (n, rows) arrays stay small at any n
+    hits = np.zeros(len(pins), dtype=np.int64)
+    for lo in range(0, times.shape[0], engine._SUB_BATCH):
+        rows = slice(lo, lo + engine._SUB_BATCH)
+        hits += np.count_nonzero(_pinned_tags(up_masks, pins, times[rows], worder[rows]), axis=1)
+    return hits
 
 
 # -- estimation ---------------------------------------------------------------
@@ -594,14 +599,12 @@ def _pinned_check(p: Poset, pins: Sequence[tuple[int, float]], trials: int) -> t
             raise IndexError(f"element {x} out of range for n={p.n}")
         if x not in p.maximal:
             raise NotMaximalError(f"element {x} is not maximal")
-    if p.n > MU_T_CAP:
-        raise TooLargeError(f"pinned-arrival check needs n <= {MU_T_CAP}, got {p.n}")
 
     def report(tallies):
-        integrals = _integrals(p)
+        table = mu_exact(p)
         reports = []
         for (x, t), hits in zip(pins, np.sum(tallies, axis=0)):
-            mu = float(_mu_t(integrals[x], Fraction(t)))
+            mu = float(table.mu_t(x, Fraction(t)))
             freq = int(hits) / trials
             se = math.sqrt(mu * (1.0 - mu) / trials)
             reports.append(
@@ -667,8 +670,6 @@ def verify_lemmas(
     if "4" in lemmas:
         pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
         checks.append(_pinned_check(p, pins, trials))
-    if "5" in lemmas and p.n > MU_T_CAP:
-        raise TooLargeError(f"monotonicity check needs n <= {MU_T_CAP}, got {p.n}")
     reports = _run_checks(p, checks, trials, master_seed, workers)
     if "5" in lemmas:
         mono = check_mu_monotonicity(p, MONOTONICITY_GRID)

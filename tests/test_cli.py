@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import poset_secretary
-from poset_secretary import cli, engine, families, montecarlo, posetfile, posets
+from poset_secretary import cli, engine, families, greedy, montecarlo, posetfile, posets
 from poset_secretary.cli import main
 from poset_secretary.engine import SIM_CAP
 
@@ -110,8 +110,21 @@ class TestExactMu:
         assert lines[3] == "2,1/2,3/4"
 
     def test_over_cap_is_exit_4(self, run):
-        code, _, err = run("exact-mu", "chain:12")
+        code, _, err = run("exact-mu", f"chain:{SIM_CAP + 1}")
         assert code == 4 and "cap" in err
+
+    def test_every_row_reads_one_table(self, run, monkeypatch):
+        calls = []
+
+        def counted(p, _fn=greedy._visit_densities):
+            calls.append(p)
+            return _fn(p)
+
+        monkeypatch.setattr(greedy, "_visit_densities", counted)
+        code, out, _ = run("exact-mu", "random:8:0.3:42", "--t", "1/2")
+        rows = json.loads(out)["results"]["mu"]
+        assert code == 0 and sum("mu_t" in row for row in rows) > 1
+        assert len(calls) == 1
 
     def test_bad_t_is_exit_3(self, run):
         assert run("exact-mu", "wedge", "--t", "zebra")[0] == 3
@@ -182,8 +195,14 @@ class TestVerify:
         code, out, _ = run(*self.PINNED)
         assert code == 1 and json.loads(out)["results"]["failures"] > 0
 
+    @pytest.mark.parametrize("lemma", ["4", "5"])
+    def test_exact_lemmas_run_at_the_simulation_cap(self, run, lemma):
+        code, out, _ = run("verify", "random:64:0.1:3", "--lemma", lemma, *self.ARGS,
+                           "--workers", "1")
+        assert code == 0 and json.loads(out)["results"]["passed"] is True
+
     def test_pinned_check_respects_cap(self, run):
-        code, _, _ = run("verify", "antichain:9", "--lemma", "4", *self.ARGS)
+        code, _, _ = run("verify", f"antichain:{SIM_CAP + 1}", "--lemma", "4", *self.ARGS)
         assert code == 4
 
     def test_bad_alpha_is_exit_3(self, run):
@@ -194,10 +213,10 @@ class TestVerify:
             raise AssertionError("drew a chunk before every lemma was validated")
 
         monkeypatch.setattr(engine, "_philox", no_draws)
-        code, out, err = run("verify", "antichain:9")
-        assert code == 4 and out == "" and "n <= 8" in err
-        # the lemma-2 trials floor is checked first
-        assert run("verify", "antichain:9", "--trials", "10")[0] == 3
+        code, out, err = run("verify", f"antichain:{SIM_CAP + 1}")
+        assert code == 4 and out == "" and f"n <= {SIM_CAP}" in err
+        # the lemma-2 trials floor is checked before any draw too
+        assert run("verify", f"antichain:{SIM_CAP}", "--trials", "10")[0] == 3
 
 
 class TestGoldenBytes:

@@ -3,8 +3,9 @@
 The exact tables come from a recursion over the greedy chain's visit
 densities, so they are cross-checked here against deliberately naive
 oracles that replay the definitional recursion permutation by permutation
-(and, for mu_t, sum it over every subset of discarded elements), and at the
-size caps, where no oracle is affordable, against closed forms.
+(and, for mu_t, sum it over every subset of discarded elements), and at
+larger n, up to the simulator's n = 64, where no oracle is affordable,
+against closed forms.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poset_secretary import greedy
-from poset_secretary.errors import NotMaximalError, TooLargeError
+from poset_secretary.errors import NotMaximalError
 from poset_secretary.families import (
     antichain,
     boolean_lattice,
@@ -170,9 +171,11 @@ class TestMuExact:
         tops = itertools.accumulate(lengths)
         assert [mu[top - 1] for top in tops] == [Fraction(m, 10) for m in lengths]
 
-    def test_cap_enforced(self):
-        with pytest.raises(TooLargeError):
-            mu_exact(chain(11))
+    def test_past_the_old_cap(self):
+        assert mu_exact(chain(11))[10] == 1
+
+    def test_antichain_64_is_uniform(self):
+        assert mu_exact(antichain(64)).values == (Fraction(1, 64),) * 64
 
 
 def mu_t_oracle(p, x, t):
@@ -248,9 +251,14 @@ class TestMuT:
         with pytest.raises(IndexError):
             mu_t_exact(chain(3), 7, Fraction(1, 2))
 
-    def test_cap_enforced(self):
-        with pytest.raises(TooLargeError):
-            mu_t_exact(antichain(9), 0, Fraction(1, 2))
+    def test_antichain_closed_form_past_the_old_cap(self):
+        # n = 9 is one past the retired n <= 8 limit; n = 64 is the simulator's
+        half = Fraction(1, 2)
+        for n in (9, 64):
+            assert mu_t_exact(antichain(n), 0, half) == (1 - half**n) / (n * half)
+            table = mu_exact(antichain(n))
+            for t in MONOTONICITY_GRID[1:]:
+                assert table.mu_t(n - 1, t) == (1 - (1 - t) ** n) / (n * t)
 
 
 class TestMonotonicity:
@@ -261,9 +269,10 @@ class TestMonotonicity:
             assert rep.ok
             assert rep.checks == len(p.maximal) * len(grid)
 
-    def test_cap_enforced(self):
-        with pytest.raises(TooLargeError):
-            check_mu_monotonicity(antichain(9), [Fraction(1, 2)])
+    def test_past_the_old_cap(self):
+        grid = [Fraction(k, 8) for k in range(9)]
+        rep = check_mu_monotonicity(antichain(9), grid)
+        assert rep.ok and rep.checks == 9 * len(grid)
 
     def test_builds_the_densities_once(self, monkeypatch):
         calls = []

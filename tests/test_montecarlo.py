@@ -416,11 +416,16 @@ class TestChunkFootprint:
     @pytest.mark.parametrize("p", [chain(20), antichain(64)])
     def test_a_chunk_pass_peaks_below_twice_its_times(self, p):
         # the chunk keeps float64 times, a uint8 weight order and bool tags;
-        # the weights and every float64 temporary live one sub-batch at a time
-        reducer = partial(montecarlo._success_counts, p.is_maximal, (0.3679,))
+        # the weights and every float64 temporary, the pinned scan's included,
+        # live one sub-batch at a time
+        pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
+        reducers = (
+            partial(montecarlo._success_counts, p.is_maximal, (0.3679,)),
+            partial(montecarlo._pinned_hits, up_masks(p), pins),
+        )
         tracemalloc.start()
         try:
-            montecarlo._tag_chunk(p, (reducer,), 0, 0, CHUNK_TRIALS)
+            montecarlo._tag_chunk(p, reducers, 0, 0, CHUNK_TRIALS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
