@@ -33,6 +33,6 @@ for t in [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(
 
 # Lighter is never worse: mu_t(x) >= mu(x) for every maximal x, checked here
 # exactly over a 17-point grid.
-rep = check_mu_monotonicity(wedge(), [Fraction(k, 16) for k in range(17)])
+rep = check_mu_monotonicity(mu_exact(wedge()), [Fraction(k, 16) for k in range(17)])
 print(f"\nmonotonicity on the wedge: {rep.checks} checks, "
       f"{len(rep.violations)} violations")

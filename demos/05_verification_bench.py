@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from poset_secretary import (
     check_mu_monotonicity,
+    mu_exact,
     random_poset,
     verify_last_tag_uniform,
     verify_tag_independence,
@@ -46,5 +47,5 @@ print("\npinned-arrival tag probability vs exact mu_t:")
 for x in sorted(p.maximal):
     show(verify_tagged_given_arrival(p, x, 0.5, TRIALS, master_seed=2))
 
-rep = check_mu_monotonicity(p, [Fraction(k, 16) for k in range(17)])
+rep = check_mu_monotonicity(mu_exact(p), [Fraction(k, 16) for k in range(17)])
 print(f"\nexact monotonicity: {rep.checks} checks, {len(rep.violations)} violations")

@@ -17,37 +17,37 @@ tag matrix, each (rows, n).
 
 Key rule: chunk_tags orders elements by the keys (word >> 11) << 6 | x,
 unique in a row and ascending as the stable order does (by value, then by
-index), so one uint64 sort gives the weight order, the time keys are the
-arrival keys that "earlier" compares below, and no tie needs a check.
-batch_tag_matrix takes any floats: it uses the stable argsort and uint8
-stable arrival ranks.
+index), so one uint64 sort gives the weight order and one more gives the
+arrival order, and no tie needs a check.  batch_tag_matrix takes any
+floats: it uses the stable argsort for both orders.
 
 The tag matrix gives the same flags as simulate.tag_sequence without running
 its greedy scan once per arrival prefix.  It is element-major: tagged[b, x]
 is x's flag when it arrives in trial b, so nothing downstream needs the
 arrival order of all n elements (the strategy only takes the earliest
-tagged element after tau).  Because the scan only climbs, x is tagged iff
-both hold:
+tagged element after tau).  A trial's tags depend only on its arrival order
+and its weight order.  Because the scan only climbs, x is tagged iff both
+hold:
 
   (a) the greedy maximum of the arrivals that are earlier *and* lighter than
       x lies below x, or there is no such arrival;
   (b) no earlier arrival lies above x.
 
 Elements are bits of the smallest unsigned dtype that holds n of them, which
-caps simulation at SIM_CAP elements.  For (a), column r stands for the r-th
-lightest element and holds the up-mask of its current greedy element,
-all-ones while its set is empty.  Weight step w feeds element e_w to the
-columns r > w it arrived before, and a column whose mask has e_w's bit jumps
-to e_w's up-mask: a triangle of n(n-1)/2 contiguous elementwise updates per
+caps simulation at SIM_CAP elements.  seen[x] is the mask of the elements
+that arrived no later than x: one prefix-OR of bits along the arrival order,
+scattered back to element order.  (b) is seen[x] & up(x) == 0.  For (a),
+column r stands for the r-th lightest element e_r and holds seen[e_r] &
+up(g), g its current greedy element; it starts at seen[e_r], as no element
+is taken yet.  Weight step w feeds element e_w to the columns r > w, and a
+column that holds e_w's bit (so e_w arrived before e_r and lies above g)
+jumps: it becomes its own AND up(e_w), which is seen[e_r] & up(e_w), because
+up(e_w) is a subset of up(g) whenever e_w lies above g.  So a column only
+shrinks, and no arrival needs a compare: every bit left in it arrived
+earlier.  That is a triangle of n(n-1)/2 contiguous elementwise updates per
 row.  Column w is final once step w starts, so x = e_w passes (a) iff its
 mask holds x's own bit; OR-ing those bits over the columns gives a mask of
-the elements that pass, with no scatter back to element order.  (b) is a
-recursion over the cover relation: with first[x] the earliest key among x
-and everything above x, first[x] = min(key[x], first[c] over the upper
-covers c of x), and x passes iff key[x] is below every such first[c].  It is
-exact because everything above x lies on or above an upper cover of x, and
-walking elements in increasing count of elements above them settles every
-cover before x.  That is one elementwise min per Hasse edge.  Rows are
+the elements that pass, with no scatter back to element order.  Rows are
 independent and are worked in sub-batches, which bounds the temporaries
 without changing any result.  Equivalence with the per-trial reference is
 pinned by tests.
@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import TooLargeError
 from .greedy import greedy_scan
-from .posets import Poset, transitive_reduction
+from .posets import Poset
 from .simulate import Trial
 
 __all__ = [
@@ -174,14 +174,6 @@ def _stable_argsort(a: np.ndarray) -> np.ndarray:
     return np.argsort(a, axis=1, kind="stable")
 
 
-def _arrival_ranks(times: np.ndarray) -> np.ndarray:
-    """Each element's arrival rank, ties broken by index."""
-    rank = np.empty(times.shape, dtype=np.uint8)  # n <= SIM_CAP
-    positions = np.arange(times.shape[1], dtype=np.uint8)
-    np.put_along_axis(rank, _stable_argsort(times), positions, axis=1)
-    return rank
-
-
 def check_sim_cap(n: int) -> None:
     """Raise TooLargeError when an n-element poset is over the simulation cap."""
     if n > SIM_CAP:
@@ -195,26 +187,25 @@ def _mask_dtype(n: int) -> type:
     return next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64) if n <= np.iinfo(d).bits)
 
 
-def _cover_walk(p: Poset) -> list[tuple[int, list[int]]]:
-    """(x, upper covers of x) for every non-maximal x, fewest elements above first.
-
-    A cover c of x has fewer elements above it than x, so each c comes
-    before x.
-    """
-    covers: list[list[int]] = [[] for _ in range(p.n)]
-    for a, c in transitive_reduction(p):
-        covers[a].append(c)
-    above = p.lt.sum(axis=1).tolist()
-    return [(x, covers[x]) for x in sorted(range(p.n), key=above.__getitem__) if covers[x]]
-
-
-def _kernel_tables(p: Poset) -> tuple:
-    """(element bits, up-masks, cover walk) of p, in p's mask dtype."""
+def _kernel_tables(p: Poset) -> tuple[np.ndarray, np.ndarray]:
+    """(element bits, up-masks) of p, in p's mask dtype."""
     check_sim_cap(p.n)
     dtype = _mask_dtype(p.n)
     bits = np.left_shift(dtype(1), np.arange(p.n, dtype=dtype))
-    up = np.array(p.above_masks, dtype=dtype)
-    return bits, up, _cover_walk(p)
+    return bits, np.array(p.above_masks, dtype=dtype)
+
+
+def _columns(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (rows, n) order as (n, rows), and where each entry sits in element order.
+
+    Row k of both holds every trial's k-th element: its index, and its flat
+    position in a (rows, n) element-major array a, so a.take(at) reads a in
+    the order's layout with one gather, and a.reshape(-1)[at] = v writes v
+    back.
+    """
+    rows, n = order.shape
+    order = np.ascontiguousarray(order.T)
+    return order, order + np.arange(0, rows * n, n)
 
 
 def batch_tag_matrix(
@@ -233,7 +224,7 @@ def batch_tag_matrix(
     for lo in range(0, times.shape[0], _SUB_BATCH):
         rows = slice(lo, lo + _SUB_BATCH)
         worder[rows] = _stable_argsort(weights[rows])
-        tagged[rows] = _tag_sub_batch(*tables, _arrival_ranks(times[rows]), worder[rows])
+        tagged[rows] = _tag_sub_batch(*tables, _stable_argsort(times[rows]), worder[rows])
     return worder, tagged
 
 
@@ -255,58 +246,58 @@ def chunk_tags(
         sub = slice(lo, lo + len(keys))
         times[sub] = piece_times
         worder[sub] = _key_order(keys[:, n:])
-        tagged[sub] = _tag_sub_batch(*tables, keys[:, :n], worder[sub])
+        tagged[sub] = _tag_sub_batch(*tables, _key_order(keys[:, :n]), worder[sub])
     return times, worder, tagged
 
 
-def _tag_sub_batch(
-    bits: np.ndarray,
-    up: np.ndarray,
-    walk: list[tuple[int, list[int]]],
-    key: np.ndarray,
-    wo: np.ndarray,
-) -> np.ndarray:
-    """Tag flags (rows, n) of one sub-batch from its arrival keys and weight order.
+def _seen(ao: np.ndarray, dtype: type) -> np.ndarray:
+    """seen[b, x]: the mask of the elements that arrived no later than x in row b.
 
-    Work arrays are (n, rows), so each step's slice is contiguous.
+    One prefix-OR of bits along each row's arrival order ao, scattered back
+    to element order.
     """
-    b, n = key.shape
-    wo = np.ascontiguousarray(wo.T)  # wo[w]: w-th lightest
-    key = np.ascontiguousarray(key.T)  # key[x]: arrival key of element x
-    keyw = np.take_along_axis(key, wo, axis=0)  # keyw[w]: arrival key of the w-th lightest
+    rows, n = ao.shape
+    ao, at = _columns(ao)
+    arrived = ao.astype(dtype)
+    np.left_shift(dtype(1), arrived, out=arrived)
+    for i in range(1, n):
+        arrived[i] |= arrived[i - 1]
+    seen = np.empty((rows, n), dtype=dtype)
+    seen.reshape(-1)[at] = arrived
+    return seen
 
-    # (a): greedy state per weight-rank column, a triangle of updates
-    bitw = bits[wo]
-    upw = up[wo]
-    state = np.full((n, b), np.iinfo(bits.dtype).max, dtype=bits.dtype)
-    scratch = np.empty((n - 1, b), dtype=bits.dtype)
-    jump = np.empty((n - 1, b), dtype=bool)
-    earlier = np.empty((n - 1, b), dtype=bool)
+
+def _tag_sub_batch(
+    bits: np.ndarray, up: np.ndarray, ao: np.ndarray, wo: np.ndarray
+) -> np.ndarray:
+    """Tag flags (rows, n) of one sub-batch from its arrival and weight orders.
+
+    ao and wo are (rows, n) permutations, earliest and lightest first.  Work
+    arrays are (n, rows), so each step's slice is contiguous.
+    """
+    dtype = up.dtype.type
+    seen = _seen(ao, dtype)
+    tag = (seen & up) == 0  # (b)
+
+    # (a): column r starts at seen[e_r] and only shrinks
+    wo, at = _columns(wo)
+    state = seen.take(at)
+    upw = up.take(wo)
+    n, rows = state.shape
+    scratch = np.empty((n - 1, rows), dtype=dtype)
     for w in range(n - 1):
-        k = n - 1 - w
         cols = state[w + 1:]
-        hit = np.bitwise_and(cols, bitw[w], out=scratch[:k])
-        go = np.not_equal(hit, 0, out=jump[:k])
-        go &= np.less(keyw[w], keyw[w + 1:], out=earlier[:k])
-        # cols = where(go, up(e_w), cols), branch-free: a masked copy is
-        # several times slower when jumps are dense, as on chains
-        diff = np.bitwise_xor(cols, upw[w], out=hit)
-        diff *= go
-        cols ^= diff
-    state &= bitw
+        keep = np.right_shift(cols, wo[w], out=scratch[:n - 1 - w])
+        keep &= 1  # 1 where the column holds e_w, else 0
+        keep -= 1  # 0 there, all-ones elsewhere
+        keep |= upw[w]
+        # cols &= up(e_w) where it holds e_w, branch-free: a masked AND is
+        # about twice as slow when jumps are dense, as on chains
+        cols &= keep
+    state &= np.left_shift(dtype(1), wo)
     passed = np.bitwise_or.reduce(state, axis=0)  # bit x: x passes (a)
-
-    # (b): first[x] is the earliest arrival key in {x} and everything above x
-    tag = np.ones((n, b), dtype=bool)
-    first = list(key)
-    for x, covers in walk:
-        above = first[covers[0]]
-        for c in covers[1:]:
-            above = np.minimum(above, first[c])
-        np.less(key[x], above, out=tag[x])
-        first[x] = np.minimum(key[x], above)
-    tag &= (passed & bits[:, None]) != 0
-    return tag.T
+    tag &= (passed[:, None] & bits) != 0
+    return tag
 
 
 def batch_accept(

@@ -247,20 +247,20 @@ class MonotonicityReport:
         return not self.violations
 
 
-def check_mu_monotonicity(p: Poset, grid) -> MonotonicityReport:
+def check_mu_monotonicity(table: MuTable, grid) -> MonotonicityReport:
     """Assert mu_t(x) >= mu(x) for every maximal x and grid point, exactly.
 
     Lowering an element's weight can only help it terminate the chain, so a
     violation would mean a bug; the report lists any (there must be none).
+    Every value is read from ``table`` (see mu_exact).
     """
     grid = tuple(_as_unit_fraction(t) for t in grid)
-    mu = mu_exact(p)
     violations = []
     checks = 0
-    for x in sorted(p.maximal):
+    for x in sorted(table.maximal):
         for t in grid:
-            val = mu.mu_t(x, t)
+            val = table.mu_t(x, t)
             checks += 1
-            if val < mu[x]:
-                violations.append((x, t, val, mu[x]))
-    return MonotonicityReport(p.n, grid, checks, tuple(violations))
+            if val < table[x]:
+                violations.append((x, t, val, table[x]))
+    return MonotonicityReport(len(table), grid, checks, tuple(violations))

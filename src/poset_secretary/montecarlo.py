@@ -40,7 +40,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from multiprocessing import Value
 from typing import Callable, Collection, Sequence
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import engine, pvalues
 from .errors import NotMaximalError, TooLargeError, ZeroTrialsError
-from .greedy import check_mu_monotonicity, greedy_scan, mu_exact
+from .greedy import MuTable, check_mu_monotonicity, greedy_scan, mu_exact
 from .posets import Poset
 from .simulate import TAU_DEFAULT
 
@@ -293,10 +293,10 @@ def _pinned_tags(
     up_masks holds each element's up-mask in engine's mask dtype.
     """
     dtype = up_masks.dtype.type
-    wo = np.ascontiguousarray(worder.T)
+    wo, at = engine._columns(worder)
     bitw = np.left_shift(dtype(1), wo.astype(dtype))
-    upw = up_masks[wo]
-    timew = np.ascontiguousarray(np.take_along_axis(times, worder, axis=1).T)
+    upw = up_masks.take(wo)
+    timew = times.take(at)
     out = np.empty((len(pins), times.shape[0]), dtype=bool)
     for t in dict.fromkeys(t for _, t in pins):
         member = timew < t
@@ -590,7 +590,10 @@ def verify_last_tag_uniform(
     return _run_checks(p, [check], trials, master_seed, workers)[0]
 
 
-def _pinned_check(p: Poset, pins: Sequence[tuple[int, float]], trials: int) -> tuple:
+def _pinned_check(
+    p: Poset, pins: Sequence[tuple[int, float]], trials: int, exact: Callable[[], MuTable]
+) -> tuple:
+    """Lemma 4's check; its report reads every mu_t from the table exact() returns."""
     engine.check_sim_cap(p.n)
     for x, t in pins:
         if not 0.0 <= t <= 1.0:
@@ -601,7 +604,7 @@ def _pinned_check(p: Poset, pins: Sequence[tuple[int, float]], trials: int) -> t
             raise NotMaximalError(f"element {x} is not maximal")
 
     def report(tallies):
-        table = mu_exact(p)
+        table = exact()
         reports = []
         for (x, t), hits in zip(pins, np.sum(tallies, axis=0)):
             mu = float(table.mu_t(x, Fraction(t)))
@@ -638,7 +641,7 @@ def verify_tagged_given_arrival(
     when the frequency lands within four binomial standard errors of the
     exact value.
     """
-    check = _pinned_check(p, [(x, t)], trials)
+    check = _pinned_check(p, [(x, t)], trials, partial(mu_exact, p))
     return _run_checks(p, [check], trials, master_seed, workers)[0]
 
 
@@ -657,10 +660,12 @@ def verify_lemmas(
     mu_t, for every maximal element at PINNED_TIMES; "5": the exact
     mu_t >= mu sweep over MONOTONICITY_GRID.  Every check is validated
     before any chunk is drawn, in that order, and reports come in it.
+    Lemmas 4 and 5 read one exact table, built once when first needed.
     """
     unknown = set(lemmas) - set(LEMMAS)
     if unknown:
         raise ValueError(f"unknown lemmas {sorted(unknown)}; choose from {LEMMAS}")
+    exact = cache(partial(mu_exact, p))
     checks = []
     if "2" in lemmas:
         checks.append(_marginal_check(p, trials, alpha, MIN_PER_POSITION))
@@ -669,10 +674,10 @@ def verify_lemmas(
         checks += [_last_tag_check(p, t, alpha) for t in LAST_TAG_TIMES]
     if "4" in lemmas:
         pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
-        checks.append(_pinned_check(p, pins, trials))
+        checks.append(_pinned_check(p, pins, trials, exact))
     reports = _run_checks(p, checks, trials, master_seed, workers)
     if "5" in lemmas:
-        mono = check_mu_monotonicity(p, MONOTONICITY_GRID)
+        mono = check_mu_monotonicity(exact(), MONOTONICITY_GRID)
         reports.append(
             LemmaReport(
                 statistic="mu_monotonicity",

@@ -165,7 +165,7 @@ def test_criterion_07_mu_monotonicity_exact(capsys):
     total_checks = 0
     total_violations = 0
     for label, p in SUITE:
-        rep = check_mu_monotonicity(p, grid)
+        rep = check_mu_monotonicity(mu_exact(p), grid)
         total_checks += rep.checks
         total_violations += len(rep.violations)
     ok = total_violations == 0 and total_checks > 0

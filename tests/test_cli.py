@@ -125,6 +125,14 @@ class TestExactMu:
         rows = json.loads(out)["results"]["mu"]
         assert code == 0 and sum("mu_t" in row for row in rows) > 1
         assert len(calls) == 1
+        # verify's lemma 4 (every pinned row) and lemma 5 read one table too
+        calls.clear()
+        code, out, _ = run("verify", "random:8:0.3:42", "--lemma", "all", "--trials", "8000",
+                           "--workers", "1")
+        names = [c["statistic"] for c in json.loads(out)["results"]["checks"]]
+        assert code == 0 and "mu_monotonicity" in names
+        assert sum(s.startswith("tagged_given_arrival") for s in names) > 1
+        assert len(calls) == 1
 
     def test_bad_t_is_exit_3(self, run):
         assert run("exact-mu", "wedge", "--t", "zebra")[0] == 3
@@ -145,9 +153,25 @@ def _read_after_order(bitw, upw, member):
     return state
 
 
+def _b_only(bits, up, ao, wo, _kernel=engine._tag_sub_batch):
+    """Kernel mutant: test (b) alone.
+
+    With weights falling along the arrival order, no arrival is earlier and
+    lighter than x, so (a) always passes.
+    """
+    return _kernel(bits, up, ao, np.ascontiguousarray(ao[:, ::-1]))
+
+
+def _a_ignores_arrival(bits, up, ao, wo, _kernel=engine._tag_sub_batch):
+    """Kernel mutant: (a) over every lighter element, arrived or not, with the true (b)."""
+    return _kernel(bits, up, wo, wo) & _b_only(bits, up, ao, wo)
+
+
 class TestVerify:
     ARGS = ("--trials", "6000", "--seed", "5")
     PINNED = ("verify", "random:8:0.3:42", "--lemma", "4", "--trials", "200000", "--workers", "1")
+    LAWS = ("verify", "random:8:0.3:42", "--lemma", "2", "--trials", "200000", "--seed", "1",
+            "--workers", "1")
 
     def test_all_lemmas_pass_on_small_poset(self, run):
         code, out, _ = run("verify", "wedge", *self.ARGS)
@@ -193,6 +217,15 @@ class TestVerify:
     def test_lemma_4_fails_a_wrong_pinned_scan(self, run, monkeypatch, mutant):
         monkeypatch.setattr(montecarlo, "_passed_mask", mutant)
         code, out, _ = run(*self.PINNED)
+        assert code == 1 and json.loads(out)["results"]["failures"] > 0
+
+    def test_lemma_2_passes_the_tag_kernel(self, run):
+        assert run(*self.LAWS)[0] == 0
+
+    @pytest.mark.parametrize("mutant", [_b_only, _a_ignores_arrival])
+    def test_lemma_2_fails_a_wrong_tag_kernel(self, run, monkeypatch, mutant):
+        monkeypatch.setattr(engine, "_tag_sub_batch", mutant)
+        code, out, _ = run(*self.LAWS)
         assert code == 1 and json.loads(out)["results"]["failures"] > 0
 
     @pytest.mark.parametrize("lemma", ["4", "5"])

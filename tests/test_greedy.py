@@ -265,13 +265,13 @@ class TestMonotonicity:
     def test_ok_on_examples(self):
         grid = [Fraction(k, 8) for k in range(9)]
         for p in small_posets():
-            rep = check_mu_monotonicity(p, grid)
+            rep = check_mu_monotonicity(mu_exact(p), grid)
             assert rep.ok
             assert rep.checks == len(p.maximal) * len(grid)
 
     def test_past_the_old_cap(self):
         grid = [Fraction(k, 8) for k in range(9)]
-        rep = check_mu_monotonicity(antichain(9), grid)
+        rep = check_mu_monotonicity(mu_exact(antichain(9)), grid)
         assert rep.ok and rep.checks == 9 * len(grid)
 
     def test_builds_the_densities_once(self, monkeypatch):
@@ -283,7 +283,7 @@ class TestMonotonicity:
 
         monkeypatch.setattr(greedy, "_visit_densities", counted)
         p = random_poset(8, 0.3, seed=42)
-        rep = check_mu_monotonicity(p, MONOTONICITY_GRID)
+        rep = check_mu_monotonicity(mu_exact(p), MONOTONICITY_GRID)
         assert rep.ok and rep.checks == len(p.maximal) * len(MONOTONICITY_GRID) > 1
         assert len(calls) == 1
 
