@@ -294,7 +294,7 @@ def _tag_sub_batch(
         # cols &= up(e_w) where it holds e_w, branch-free: a masked AND is
         # about twice as slow when jumps are dense, as on chains
         cols &= keep
-    state &= np.left_shift(dtype(1), wo)
+    state &= np.left_shift(dtype(1), wo, dtype=dtype)  # wo is uint8: shift in dtype
     passed = np.bitwise_or.reduce(state, axis=0)  # bit x: x passes (a)
     tag &= (passed[:, None] & bits) != 0
     return tag

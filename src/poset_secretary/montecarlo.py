@@ -40,7 +40,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from multiprocessing import Value
 from typing import Callable, Collection, Sequence
 
@@ -591,9 +591,9 @@ def verify_last_tag_uniform(
 
 
 def _pinned_check(
-    p: Poset, pins: Sequence[tuple[int, float]], trials: int, exact: Callable[[], MuTable]
+    p: Poset, pins: Sequence[tuple[int, float]], trials: int, table: MuTable
 ) -> tuple:
-    """Lemma 4's check; its report reads every mu_t from the table exact() returns."""
+    """Lemma 4's check; its report reads every mu_t from table."""
     engine.check_sim_cap(p.n)
     for x, t in pins:
         if not 0.0 <= t <= 1.0:
@@ -604,7 +604,6 @@ def _pinned_check(
             raise NotMaximalError(f"element {x} is not maximal")
 
     def report(tallies):
-        table = exact()
         reports = []
         for (x, t), hits in zip(pins, np.sum(tallies, axis=0)):
             mu = float(table.mu_t(x, Fraction(t)))
@@ -641,7 +640,7 @@ def verify_tagged_given_arrival(
     when the frequency lands within four binomial standard errors of the
     exact value.
     """
-    check = _pinned_check(p, [(x, t)], trials, partial(mu_exact, p))
+    check = _pinned_check(p, [(x, t)], trials, mu_exact(p))
     return _run_checks(p, [check], trials, master_seed, workers)[0]
 
 
@@ -660,24 +659,24 @@ def verify_lemmas(
     mu_t, for every maximal element at PINNED_TIMES; "5": the exact
     mu_t >= mu sweep over MONOTONICITY_GRID.  Every check is validated
     before any chunk is drawn, in that order, and reports come in it.
-    Lemmas 4 and 5 read one exact table, built once when first needed.
+    Lemmas 4 and 5 read one exact table.
     """
     unknown = set(lemmas) - set(LEMMAS)
     if unknown:
         raise ValueError(f"unknown lemmas {sorted(unknown)}; choose from {LEMMAS}")
-    exact = cache(partial(mu_exact, p))
     checks = []
     if "2" in lemmas:
         checks.append(_marginal_check(p, trials, alpha, MIN_PER_POSITION))
         checks.append(_independence_check(p, trials, alpha))
     if "3" in lemmas:
         checks += [_last_tag_check(p, t, alpha) for t in LAST_TAG_TIMES]
+    table = mu_exact(p) if "4" in lemmas or "5" in lemmas else None
     if "4" in lemmas:
         pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
-        checks.append(_pinned_check(p, pins, trials, exact))
+        checks.append(_pinned_check(p, pins, trials, table))
     reports = _run_checks(p, checks, trials, master_seed, workers)
     if "5" in lemmas:
-        mono = check_mu_monotonicity(exact(), MONOTONICITY_GRID)
+        mono = check_mu_monotonicity(table, MONOTONICITY_GRID)
         reports.append(
             LemmaReport(
                 statistic="mu_monotonicity",
