@@ -39,7 +39,7 @@ from .errors import (
     TooLargeError,
     ZeroTrialsError,
 )
-from .engine import SIM_CAP
+from .engine import check_sim_cap
 from .families import parse_generator_spec
 from .greedy import mu_exact
 from .montecarlo import (
@@ -63,18 +63,12 @@ EXIT_OVER_CAP = 4
 _FAMILIES = ("chain", "antichain", "wedge", "boolean", "forest", "random")
 
 
-def _check_size(n: int) -> None:
-    """Refuse a source over every command's cap before its n-by-n relation exists."""
-    if n > SIM_CAP:
-        raise TooLargeError(f"n={n} is over the size cap of every command (n <= {SIM_CAP})")
-
-
 def _load_poset(source: str) -> Poset:
     """Resolve a source: generator specs win over file paths."""
     family = source.split(":", 1)[0]
     if family in _FAMILIES:
         spec = parse_generator_spec(source)
-        _check_size(spec.n)
+        check_sim_cap(spec.n)
         return spec.build()
     if os.path.exists(source):
         try:
@@ -83,7 +77,7 @@ def _load_poset(source: str) -> Poset:
         except OSError as exc:
             raise SourceError(f"cannot read poset file {source!r}: {exc}") from exc
         n, pairs = parse_poset_relations(text)
-        _check_size(n)
+        check_sim_cap(n)
         try:
             return from_relations(n, pairs)
         except (CycleError, IndexError, ValueError) as exc:

@@ -12,8 +12,8 @@ never what comes out.  A chunk may be drawn in consecutive pieces of rows:
 the stream continues where the last piece ended, so the pieces are
 bit-identical to one whole-chunk draw.  chunk_tags draws and tags a chunk
 _SUB_BATCH rows at a time, so its weights never exist at chunk level; it
-returns float64 times, the uint8 weight order (n <= SIM_CAP) and the bool
-tag matrix, each (rows, n).
+returns float64 times, the uint8 arrival and weight orders (n <= SIM_CAP)
+and the bool tag matrix, each (rows, n).
 
 Key rule: chunk_tags orders elements by the keys (word >> 11) << 6 | x,
 unique in a row and ascending as the stable order does (by value, then by
@@ -131,13 +131,6 @@ def _with_index(ulps: np.ndarray, n: int) -> np.ndarray:
     return ulps
 
 
-def _time_keys(times: np.ndarray) -> np.ndarray:
-    """Order keys of times that are multiples of 2^-53 in [0, 1], as every chunk draw is."""
-    keys = np.empty(times.shape, dtype=np.uint64)
-    np.multiply(times, 2.0**53, out=keys, casting="unsafe")  # exact under the precondition
-    return _with_index(keys, times.shape[1])
-
-
 def _key_order(keys: np.ndarray) -> np.ndarray:
     """Each row's elements (uint8) in ascending key order, i.e. the stable order."""
     order = np.sort(keys, axis=1).astype(np.uint8)
@@ -175,10 +168,10 @@ def _stable_argsort(a: np.ndarray) -> np.ndarray:
 
 
 def check_sim_cap(n: int) -> None:
-    """Raise TooLargeError when an n-element poset is over the simulation cap."""
+    """Raise TooLargeError when an n-element poset is over every command's size cap."""
     if n > SIM_CAP:
         raise TooLargeError(
-            f"simulation cap is n <= {SIM_CAP} (one bit per element in the tag kernel); got n={n}"
+            f"size cap is n <= {SIM_CAP} (one bit per element in the tag kernel); got n={n}"
         )
 
 
@@ -230,24 +223,27 @@ def batch_tag_matrix(
 
 def chunk_tags(
     p: Poset, master_seed: int, chunk_index: int, rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, worder, tagged) of one canonical chunk, drawn and tagged per sub-batch.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(times, aorder, worder, tagged) of one canonical chunk, drawn and tagged per sub-batch.
 
-    Equal to chunk_uniforms' times and batch_tag_matrix on its output, but
-    the weights live only one sub-batch at a time.  Raises TooLargeError
-    when p.n exceeds SIM_CAP, before anything is drawn.
+    Equal to chunk_uniforms' times, their stable arrival order and
+    batch_tag_matrix on its output, but the weights live only one sub-batch
+    at a time.  Raises TooLargeError when p.n exceeds SIM_CAP, before
+    anything is drawn.
     """
     tables = _kernel_tables(p)
     n = p.n
     times = np.empty((rows, n))
+    aorder = np.empty((rows, n), dtype=np.uint8)
     worder = np.empty((rows, n), dtype=np.uint8)
     tagged = np.empty((rows, n), dtype=bool)
     for lo, piece_times, keys in _chunk_pieces(n, master_seed, chunk_index, rows):
         sub = slice(lo, lo + len(keys))
         times[sub] = piece_times
+        aorder[sub] = _key_order(keys[:, :n])
         worder[sub] = _key_order(keys[:, n:])
-        tagged[sub] = _tag_sub_batch(*tables, _key_order(keys[:, :n]), worder[sub])
-    return times, worder, tagged
+        tagged[sub] = _tag_sub_batch(*tables, aorder[sub], worder[sub])
+    return times, aorder, worder, tagged
 
 
 def _seen(ao: np.ndarray, dtype: type) -> np.ndarray:

@@ -9,15 +9,18 @@ implementation far more often than alpha.
 
 One pass per chunk: each canonical chunk is drawn and tagged once
 (_tag_chunk, through engine.chunk_tags), and every statistic is a reducer of
-that chunk's (times, worder, tagged): the arrival times, each row's stable
-weight order and the element-major tag flags.  No reducer reads the weights,
-which live one sub-batch at a time.  Acceptance and last-tag times read
-tagged elements' times directly; only the lemma-2 checks, which count by
-arrival position, sort the chunk by arrival.  Lemma 4's pinned check reads no tag
-flags: one bitmask scan over the weight order per pinned time serves every
-maximal element (see _pinned_tags), one sub-batch of the chunk at a time.  verify_lemmas runs all requested checks
-over one pass and at most one process pool; each per-lemma function runs the
-same code path with its own check.
+that chunk's (times, aorder, worder, tagged): the arrival times, each row's
+stable arrival and weight orders and the element-major tag flags.  No
+reducer reads the weights, which live one sub-batch at a time.  Acceptance
+and last-tag times read tagged elements' times directly; only the lemma-2
+checks, which count by arrival position, read the flags in the arrival order
+the kernel sorted.  Lemma 4's pinned check reads no tag flags: one bitmask
+scan over the weight order per pinned time serves every maximal element (see
+_pinned_tags), one sub-batch of the chunk at a time.  Every estimate and
+check is a (reducer, report) pair run by _run_checks: verify_lemmas runs all
+requested checks over one pass and at most one process pool, and each
+per-lemma function and threshold_sweep run the same code path with their
+own.
 
 P-values come from pvalues: the exact two-sided binomial test for each tag
 marginal, Pearson's chi-square for pairwise independence and the joint
@@ -187,8 +190,29 @@ def _tag_chunk(
     p: Poset, reducers: tuple[Callable, ...], master_seed: int, chunk: int, rows: int
 ) -> list:
     """Draw and tag one canonical chunk, then apply every reducer to it."""
-    times, worder, tagged = engine.chunk_tags(p, master_seed, chunk, rows)
-    return [reduce(times, worder, tagged) for reduce in reducers]
+    tags = engine.chunk_tags(p, master_seed, chunk, rows)
+    return [reduce(*tags) for reduce in reducers]
+
+
+def _run_checks(
+    p: Poset, checks: Sequence[tuple], trials: int, master_seed: int, workers: int | None
+) -> list:
+    """Every check over one pass of the canonical chunks; reports in check order.
+
+    A check is a (reducer, report) pair, built only after its parameters are
+    validated: the reducer runs on every chunk, and report turns the list of
+    per-chunk tallies, in chunk order, into a list of results.  Checks that
+    share a reducer share its tally, so it runs once per chunk.
+    """
+    if not checks:
+        return []
+    reducers = tuple(dict.fromkeys(reduce for reduce, _ in checks))
+    per_chunk = _run_chunks(partial(_tag_chunk, p, reducers, master_seed), trials, workers)
+    tallies = dict(zip(reducers, zip(*per_chunk)))
+    reports = []
+    for reduce, report in checks:
+        reports += report(list(tallies[reduce]))
+    return reports
 
 
 def _greedy_count_chunk(p: Poset, master_seed: int, chunk: int, rows: int) -> np.ndarray:
@@ -199,13 +223,14 @@ def _greedy_count_chunk(p: Poset, master_seed: int, chunk: int, rows: int) -> np
     return counts
 
 
-# -- reducers: (times, worder, tagged) of one chunk -> tally -------------------
+# -- reducers: (times, aorder, worder, tagged) of one chunk -> tally -----------
 # tagged is element-major (see engine.batch_tag_matrix); only the lemma-2
-# reducers, which count by arrival position, sort a chunk by arrival.
+# reducers, which count by arrival position, read it in arrival order, one
+# flat take through engine._columns(aorder) into (n, rows).
 # Module-level functions bound with partial, so they pickle for the pool.
 
 
-def _success_counts(is_maximal, taus, times, worder, tagged) -> np.ndarray:
+def _success_counts(is_maximal, taus, times, aorder, worder, tagged) -> np.ndarray:
     out = np.empty(len(taus), dtype=np.int64)
     for i, tau in enumerate(taus):
         _, success = engine.batch_accept(times, tagged, tau, is_maximal)
@@ -213,28 +238,19 @@ def _success_counts(is_maximal, taus, times, worder, tagged) -> np.ndarray:
     return out
 
 
-def _tags_by_arrival(times: np.ndarray, tagged: np.ndarray) -> np.ndarray:
-    """tagged with column k holding the (k+1)-th arrival's flag, ties by index.
-
-    times must be multiples of 2^-53 in [0, 1], as every chunk draw is: then
-    one sort of their order keys (see engine) is the stable arrival order.
-    """
-    return np.take_along_axis(tagged, engine._key_order(engine._time_keys(times)), axis=1)
-
-
-def _tag_pair_counts(times, worder, tagged) -> np.ndarray:
+def _tag_pair_counts(times, aorder, worder, tagged) -> np.ndarray:
     # float64 runs on BLAS and is exact: a chunk's counts stay far below 2^53
-    flags = _tags_by_arrival(times, tagged).astype(np.float64)
-    return (flags.T @ flags).astype(np.int64)
+    flags = tagged.take(engine._columns(aorder)[1]).astype(np.float64)
+    return (flags @ flags.T).astype(np.int64)
 
 
-def _tag_pattern_counts(times, worder, tagged) -> np.ndarray:
+def _tag_pattern_counts(times, aorder, worder, tagged) -> np.ndarray:
     n = tagged.shape[1]
-    codes = _tags_by_arrival(times, tagged) @ (1 << np.arange(n, dtype=np.int64))
+    codes = (1 << np.arange(n, dtype=np.int64)) @ tagged.take(engine._columns(aorder)[1])
     return np.bincount(codes, minlength=1 << n)
 
 
-def _last_tag_values(t, times, worder, tagged) -> np.ndarray:
+def _last_tag_values(t, times, aorder, worder, tagged) -> np.ndarray:
     vals = engine.batch_last_tag_time(times, tagged, t)
     return vals[~np.isnan(vals)]
 
@@ -311,7 +327,7 @@ def _pinned_tags(
     return out
 
 
-def _pinned_hits(up_masks, pins, times, worder, tagged) -> np.ndarray:
+def _pinned_hits(up_masks, pins, times, aorder, worder, tagged) -> np.ndarray:
     # one sub-batch at a time, so the scan's (n, rows) arrays stay small at any n
     hits = np.zeros(len(pins), dtype=np.int64)
     for lo in range(0, times.shape[0], engine._SUB_BATCH):
@@ -343,17 +359,17 @@ def threshold_sweep(
     for tau in taus:
         if not 0.0 <= tau < 1.0:
             raise ValueError(f"tau must lie in [0, 1), got {tau}")
-    reducer = partial(_success_counts, p.is_maximal, taus)
-    tallies = _run_chunks(partial(_tag_chunk, p, (reducer,), master_seed), trials, workers)
-    totals = np.sum([counts for counts, in tallies], axis=0)
-    out = []
-    for tau, successes in zip(taus, totals):
-        successes = int(successes)
-        low, high = wilson_interval(successes, trials, confidence)
-        out.append(
-            Estimate(successes, trials, successes / trials, low, high, master_seed, tau, confidence)
-        )
-    return out
+
+    def report(tallies):
+        out = []
+        for tau, successes in zip(taus, np.sum(tallies, axis=0).tolist()):
+            low, high = wilson_interval(successes, trials, confidence)
+            p_hat = successes / trials
+            out.append(Estimate(successes, trials, p_hat, low, high, master_seed, tau, confidence))
+        return out
+
+    check = partial(_success_counts, p.is_maximal, taus), report
+    return _run_checks(p, [check], trials, master_seed, workers)
 
 
 def estimate_success(
@@ -377,28 +393,6 @@ def empirical_greedy_max(
 
 
 # -- verification -------------------------------------------------------------
-#
-# A check is a (reducer, report) pair, built only after its parameters are
-# validated: the reducer runs on every chunk, and report turns the list of
-# per-chunk tallies, in chunk order, into LemmaReports.
-
-
-def _run_checks(
-    p: Poset, checks: Sequence[tuple], trials: int, master_seed: int, workers: int | None
-) -> list[LemmaReport]:
-    """Every check over one pass of the canonical chunks; reports in check order.
-
-    Checks that share a reducer share its tally, so it runs once per chunk.
-    """
-    if not checks:
-        return []
-    reducers = tuple(dict.fromkeys(reduce for reduce, _ in checks))
-    per_chunk = _run_chunks(partial(_tag_chunk, p, reducers, master_seed), trials, workers)
-    tallies = dict(zip(reducers, zip(*per_chunk)))
-    reports = []
-    for reduce, report in checks:
-        reports += report(list(tallies[reduce]))
-    return reports
 
 
 def _marginal_check(p: Poset, trials: int, alpha: float, min_per_position: int) -> tuple:
@@ -594,7 +588,7 @@ def _pinned_check(
     p: Poset, pins: Sequence[tuple[int, float]], trials: int, table: MuTable
 ) -> tuple:
     """Lemma 4's check; its report reads every mu_t from table."""
-    engine.check_sim_cap(p.n)
+    up_masks = engine._kernel_tables(p)[1]
     for x, t in pins:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must lie in [0, 1], got {t}")
@@ -621,7 +615,6 @@ def _pinned_check(
             )
         return reports
 
-    up_masks = np.array(p.above_masks, dtype=engine._mask_dtype(p.n))
     return partial(_pinned_hits, up_masks, pins), report
 
 

@@ -12,6 +12,7 @@ from poset_secretary.engine import (
     SIM_CAP,
     _SUB_BATCH,
     _chunk_pieces,
+    _stable_argsort,
     batch_accept,
     batch_greedy_maximum,
     batch_last_tag_time,
@@ -230,9 +231,9 @@ class TestChunkTags:
     @pytest.mark.parametrize("rows", [CHUNK_TRIALS, 3 * _SUB_BATCH + 17, 5])
     def test_equals_the_kernel_on_the_whole_chunk_draw(self, p, rows):
         times, weights = chunk_uniforms(p.n, 8, 3, rows)
-        want = (times, *batch_tag_matrix(p, times, weights))
+        want = (times, _stable_argsort(times), *batch_tag_matrix(p, times, weights))
         got = chunk_tags(p, 8, 3, rows)
-        assert [a.dtype for a in got] == [np.float64, np.uint8, bool]
+        assert [a.dtype for a in got] == [np.float64, np.uint8, np.uint8, bool]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 

@@ -38,6 +38,7 @@ from poset_secretary.montecarlo import (
     wilson_interval,
 )
 from poset_secretary.posets import Poset
+from poset_secretary.simulate import Trial, tag_sequence
 
 TRIALS = 40_000
 
@@ -111,9 +112,6 @@ class TestEstimate:
         want = estimate_success(chain(20), 0.4, TRIALS, master_seed=3, workers=1)
         lemma_2 = verify_lemmas(chain(20), ["2"], TRIALS, master_seed=3, workers=1)
         times, weights = engine.chunk_uniforms(20, 3, 0, 100)
-        quarter = np.floor(times * 4) / 4
-        _, tagged = batch_tag_matrix(chain(20), times, weights)
-        by_arrival = np.take_along_axis(tagged, engine._stable_argsort(quarter), axis=1)
 
         class Argsort(Exception):
             pass
@@ -125,8 +123,6 @@ class TestEstimate:
         monkeypatch.setattr(engine, "_stable_argsort", argsort)
         assert estimate_success(chain(20), 0.4, TRIALS, master_seed=3, workers=1) == want
         assert verify_lemmas(chain(20), ["2"], TRIALS, master_seed=3, workers=1) == lemma_2
-        # quarter-grid times tie, and still break by index
-        assert np.array_equal(montecarlo._tags_by_arrival(quarter, tagged), by_arrival)
         with pytest.raises(Argsort):
             batch_tag_matrix(chain(20), times, weights)
 
@@ -244,6 +240,21 @@ class TestIndependence:
         reports = verify_tag_independence(chain(4), TRIALS, master_seed=2)
         k1 = [r for r in reports if "[j=1," in r.statistic]
         assert k1 and all(r.p_value is None and r.passed for r in k1)
+
+    @pytest.mark.parametrize("p", [random_poset(8, 0.3, seed=42), random_poset(12, 0.3, seed=4)])
+    def test_tallies_equal_the_counts_built_per_trial(self, p):
+        # the pair and pattern tallies read the flags in the kernel's arrival
+        # order; the reference rebuilds every row's flags from tag_sequence
+        seed, chunk, rows = 5, 2, engine._SUB_BATCH + 5
+        tags = engine.chunk_tags(p, seed, chunk, rows)
+        times, weights = engine.chunk_uniforms(p.n, seed, chunk, rows)
+        flags = np.array(
+            [[e.tagged for e in tag_sequence(p, Trial(t, w))] for t, w in zip(times, weights)],
+            dtype=np.int64,
+        )
+        assert np.array_equal(montecarlo._tag_pair_counts(*tags), flags.T @ flags)
+        patterns = np.bincount(flags @ (1 << np.arange(p.n)), minlength=1 << p.n)
+        assert np.array_equal(montecarlo._tag_pattern_counts(*tags), patterns)
 
     def test_joint_pattern_law(self):
         for p in (chain(1), antichain(4), random_poset(5, 0.5, seed=7)):
