@@ -25,20 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import (
-    CycleError,
-    EmptyPosetError,
-    GeneratorSpecError,
-    NotMaximalError,
-    PosetFileError,
-    SourceError,
-    TooLargeError,
-    ZeroTrialsError,
-)
+from .errors import CycleError, GeneratorSpecError, PosetFileError, SourceError, TooLargeError
 from .engine import check_sim_cap
 from .families import parse_generator_spec
 from .greedy import mu_exact
@@ -88,56 +80,24 @@ def _load_poset(source: str) -> Poset:
     )
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _json_report(command: str, params: dict, results) -> str:
-    doc = {"command": command, "version": __version__, "params": params, "results": results}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _estimate_dict(est) -> dict:
-    return {
-        "successes": est.successes,
-        "trials": est.trials,
-        "p_hat": est.p_hat,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "tau": est.tau,
-        "seed": est.master_seed,
-        "confidence": est.confidence,
-    }
+    d = dict(vars(est))
+    d["seed"] = d.pop("master_seed")
+    return d
 
 
-def _report_dict(rep) -> dict:
-    return {
-        "statistic": rep.statistic,
-        "observed": rep.observed,
-        "reference": rep.reference,
-        "p_value": rep.p_value,
-        "passed": rep.passed,
-        "sample_size": rep.sample_size,
-    }
+def _cell(value) -> str:
+    return "" if value is None else value if isinstance(value, str) else repr(value)
 
 
-_SWEEP_HEADER = "tau,p_hat,ci_low,ci_high,trials,seed"
+def _csv(header: str, rows) -> str:
+    """CSV text: a None cell is blank, a string verbatim, anything else its repr."""
+    return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
 
 
 def _estimates_csv(estimates) -> str:
-    lines = [_SWEEP_HEADER]
-    for e in estimates:
-        lines.append(f"{e.tau!r},{e.p_hat!r},{e.ci_low!r},{e.ci_high!r},{e.trials},{e.master_seed}")
-    return "\n".join(lines) + "\n"
-
-
-def _reports_csv(reports) -> str:
-    lines = ["statistic,observed,reference,p_value,passed,sample_size"]
-    for r in reports:
-        pv = "" if r.p_value is None else repr(r.p_value)
-        ref = r.reference if isinstance(r.reference, str) else repr(r.reference)
-        lines.append(f'{r.statistic},{r.observed!r},"{ref}",{pv},{r.passed},{r.sample_size}')
-    return "\n".join(lines) + "\n"
+    return _csv("tau,p_hat,ci_low,ci_high,trials,seed",
+                [(e.tau, e.p_hat, e.ci_low, e.ci_high, e.trials, e.master_seed) for e in estimates])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,16 +108,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, trials=True):
+    def common(sp, monte_carlo=True):
         sp.add_argument("source", help="generator spec (e.g. chain:20, random:8:0.3:42) or poset file path")
         sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        if trials:
+        if monte_carlo:
             sp.add_argument("--trials", type=int, default=TRIALS_DEFAULT,
                             help=f"Monte Carlo trials (default {TRIALS_DEFAULT})")
         sp.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt",
                         help="report format (default json)")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: $POSET_SECRETARY_WORKERS or 1); results do not depend on it")
+        if monte_carlo:
+            sp.add_argument("--workers", type=int, default=None,
+                            help="parallel workers (default: $POSET_SECRETARY_WORKERS or 1); results do not depend on it")
 
     sp = sub.add_parser("simulate", help="estimate the strategy's success probability")
     common(sp)
@@ -165,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="rejection threshold in [0,1) (default 1/e)")
 
     sp = sub.add_parser("exact-mu", help="exact greedy-maximum distribution")
-    common(sp, trials=False)
+    common(sp, monte_carlo=False)
     sp.add_argument("--t", default=None,
                     help="also report mu_t per maximal element at this rational t (e.g. 1/2)")
 
@@ -186,20 +147,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
+# Each handler returns (exit code, command argv, params, results, csv text);
+# main alone renders and writes the report.
+
+
+def _cmd_simulate(args):
     p = _load_poset(args.source)
     est = estimate_success(p, args.tau, args.trials, args.seed, workers=args.workers)
-    command = (f"poset-secretary simulate {args.source} --tau {args.tau!r} "
-               f"--trials {args.trials} --seed {args.seed} --format {args.fmt}")
-    if args.fmt == "csv":
-        _emit(_estimates_csv([est]))
-    else:
-        params = {"source": args.source, "tau": args.tau, "trials": args.trials, "seed": args.seed}
-        _emit(_json_report(command, params, _estimate_dict(est)))
-    return EXIT_OK
+    argv = ["simulate", args.source, "--tau", repr(args.tau),
+            "--trials", str(args.trials), "--seed", str(args.seed)]
+    params = {"source": args.source, "tau": args.tau, "trials": args.trials, "seed": args.seed}
+    return EXIT_OK, argv, params, _estimate_dict(est), _estimates_csv([est])
 
 
-def _cmd_exact_mu(args) -> int:
+def _cmd_exact_mu(args):
     p = _load_poset(args.source)
     table = mu_exact(p)
     t = None
@@ -214,49 +175,36 @@ def _cmd_exact_mu(args) -> int:
         if t is not None and x in p.maximal:
             row["mu_t"] = str(table.mu_t(x, t))
         rows.append(row)
-    command = f"poset-secretary exact-mu {args.source}"
-    if t is not None:
-        command += f" --t {t}"
-    command += f" --seed {args.seed} --format {args.fmt}"
-    if args.fmt == "csv":
-        header = "element,mu,mu_t" if t is not None else "element,mu"
-        lines = [header]
-        for row in rows:
-            cells = [str(row["element"]), row["mu"]]
-            if t is not None:
-                cells.append(row.get("mu_t", ""))
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n")
-    else:
-        params = {"source": args.source, "t": None if t is None else str(t), "seed": args.seed}
-        _emit(_json_report(command, params, {"n": p.n, "mu": rows}))
-    return EXIT_OK
+    columns = ["element", "mu"] if t is None else ["element", "mu", "mu_t"]
+    argv = ["exact-mu", args.source, *([] if t is None else ["--t", str(t)]),
+            "--seed", str(args.seed)]
+    params = {"source": args.source, "t": None if t is None else str(t), "seed": args.seed}
+    csv = _csv(",".join(columns), ([row.get(c) for c in columns] for row in rows))
+    return EXIT_OK, argv, params, {"n": p.n, "mu": rows}, csv
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {args.alpha}")
     p = _load_poset(args.source)
     lemmas = LEMMAS if args.lemma == "all" else (args.lemma,)
     reports = verify_lemmas(p, lemmas, args.trials, args.seed, args.alpha, args.workers)
     ok = all(r.passed for r in reports)
-    command = (f"poset-secretary verify {args.source} --lemma {args.lemma} "
-               f"--trials {args.trials} --seed {args.seed} --alpha {args.alpha!r} "
-               f"--format {args.fmt}")
-    if args.fmt == "csv":
-        _emit(_reports_csv(reports))
-    else:
-        params = {"source": args.source, "lemma": args.lemma, "trials": args.trials,
-                  "seed": args.seed, "alpha": args.alpha}
-        results = {"checks": [_report_dict(r) for r in reports],
-                   "total": len(reports),
-                   "failures": sum(1 for r in reports if not r.passed),
-                   "passed": ok}
-        _emit(_json_report(command, params, results))
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    argv = ["verify", args.source, "--lemma", args.lemma, "--trials", str(args.trials),
+            "--seed", str(args.seed), "--alpha", repr(args.alpha)]
+    params = {"source": args.source, "lemma": args.lemma, "trials": args.trials,
+              "seed": args.seed, "alpha": args.alpha}
+    results = {"checks": [vars(r) for r in reports],
+               "total": len(reports),
+               "failures": sum(1 for r in reports if not r.passed),
+               "passed": ok}
+    csv = _csv("statistic,observed,reference,p_value,passed,sample_size",
+               [(r.statistic, r.observed, f'"{_cell(r.reference)}"', r.p_value, r.passed,
+                 r.sample_size) for r in reports])
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED, argv, params, results, csv
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     try:
         taus = [float(tok) for tok in args.taus.split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -265,19 +213,14 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--taus must contain at least one threshold")
     p = _load_poset(args.source)
     estimates = threshold_sweep(p, taus, args.trials, args.seed, workers=args.workers)
-    command = (f"poset-secretary sweep {args.source} --taus {args.taus} "
-               f"--trials {args.trials} --seed {args.seed} --format {args.fmt}")
-    if args.fmt == "csv":
-        _emit(_estimates_csv(estimates))
-    else:
-        params = {"source": args.source, "taus": taus, "trials": args.trials, "seed": args.seed}
-        _emit(_json_report(command, params, [_estimate_dict(e) for e in estimates]))
-    return EXIT_OK
+    argv = ["sweep", args.source, "--taus", args.taus,
+            "--trials", str(args.trials), "--seed", str(args.seed)]
+    params = {"source": args.source, "taus": taus, "trials": args.trials, "seed": args.seed}
+    return EXIT_OK, argv, params, [_estimate_dict(e) for e in estimates], _estimates_csv(estimates)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
         "exact-mu": _cmd_exact_mu,
@@ -285,16 +228,25 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
-        return handlers[args.cmd](args)
+        code, command, params, results, csv = handlers[args.cmd](args)
     except (SourceError, PosetFileError, GeneratorSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVER_CAP
-    except (ValueError, IndexError, ZeroTrialsError, EmptyPosetError, NotMaximalError) as exc:
+    except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAM
+    fmt = args.fmt
+    if fmt == "csv":
+        text = csv
+    else:
+        doc = {"command": shlex.join(["poset-secretary", *command, "--format", fmt]),
+               "version": __version__, "params": params, "results": results}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

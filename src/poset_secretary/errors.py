@@ -14,7 +14,7 @@ class CycleError(PosetSecretaryError):
 
 
 class TooLargeError(PosetSecretaryError):
-    """Instance exceeds a size cap: of the exact tables or of simulation."""
+    """Instance exceeds the one size cap, engine.SIM_CAP (one bit per element in the tag kernel)."""
 
 
 class NotMaximalError(PosetSecretaryError, ValueError):

@@ -395,6 +395,13 @@ def empirical_greedy_max(
 # -- verification -------------------------------------------------------------
 
 
+def _tested(
+    statistic: str, observed: float, reference, pval: float, alpha: float, size: int
+) -> LemmaReport:
+    """A report whose check passes when its p-value is at least alpha."""
+    return LemmaReport(statistic, observed, reference, pval, pval >= alpha, size)
+
+
 def _marginal_check(p: Poset, trials: int, alpha: float, min_per_position: int) -> tuple:
     engine.check_sim_cap(p.n)
     if min_per_position and trials < p.n * min_per_position:
@@ -410,16 +417,7 @@ def _marginal_check(p: Poset, trials: int, alpha: float, min_per_position: int) 
             hits = int(marg[k - 1])
             ref = 1.0 / k
             pval = pvalues.binom_two_sided(hits, trials, ref)
-            reports.append(
-                LemmaReport(
-                    statistic=f"tag_marginal[k={k}]",
-                    observed=hits / trials,
-                    reference=ref,
-                    p_value=pval,
-                    passed=pval >= alpha,
-                    sample_size=trials,
-                )
-            )
+            reports.append(_tested(f"tag_marginal[k={k}]", hits / trials, ref, pval, alpha, trials))
         return reports
 
     return _tag_pair_counts, report
@@ -470,14 +468,8 @@ def _independence_check(p: Poset, trials: int, alpha: float) -> tuple:
                 )
                 chi2, pval = pvalues.chi2_2x2(table)
                 reports.append(
-                    LemmaReport(
-                        statistic=f"tag_independence[j={j},k={k}]",
-                        observed=chi2,
-                        reference="chi2(df=1) under independence",
-                        p_value=pval,
-                        passed=pval >= alpha,
-                        sample_size=trials,
-                    )
+                    _tested(f"tag_independence[j={j},k={k}]", chi2,
+                            "chi2(df=1) under independence", pval, alpha, trials)
                 )
         return reports
 
@@ -553,16 +545,8 @@ def _last_tag_check(p: Poset, t: float, alpha: float) -> tuple:
         if values.size == 0:
             raise ValueError("no trial had an arrival before t; increase trials")
         ks, pval = pvalues.ks_uniform(values)
-        return [
-            LemmaReport(
-                statistic=f"last_tag_uniform[t={t!r}]",
-                observed=ks,
-                reference="uniform[0,1]",
-                p_value=pval,
-                passed=pval >= alpha,
-                sample_size=int(values.size),
-            )
-        ]
+        size = int(values.size)
+        return [_tested(f"last_tag_uniform[t={t!r}]", ks, "uniform[0,1]", pval, alpha, size)]
 
     return partial(_last_tag_values, t), report
 
@@ -585,9 +569,10 @@ def verify_last_tag_uniform(
 
 
 def _pinned_check(
-    p: Poset, pins: Sequence[tuple[int, float]], trials: int, table: MuTable
+    p: Poset, pins: Sequence[tuple[int, float]], trials: int, table: MuTable | None = None
 ) -> tuple:
-    """Lemma 4's check; its report reads every mu_t from table."""
+    """Lemma 4's check; its report reads every mu_t from table, built here
+    once the pins are valid when the caller passes none."""
     up_masks = engine._kernel_tables(p)[1]
     for x, t in pins:
         if not 0.0 <= t <= 1.0:
@@ -596,6 +581,8 @@ def _pinned_check(
             raise IndexError(f"element {x} out of range for n={p.n}")
         if x not in p.maximal:
             raise NotMaximalError(f"element {x} is not maximal")
+    if table is None:
+        table = mu_exact(p)
 
     def report(tallies):
         reports = []
@@ -633,7 +620,7 @@ def verify_tagged_given_arrival(
     when the frequency lands within four binomial standard errors of the
     exact value.
     """
-    check = _pinned_check(p, [(x, t)], trials, mu_exact(p))
+    check = _pinned_check(p, [(x, t)], trials)
     return _run_checks(p, [check], trials, master_seed, workers)[0]
 
 

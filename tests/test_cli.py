@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -271,12 +272,58 @@ class TestGoldenBytes:
             # DMTW and Pomeranz paths
             (("verify", "wedge", "--lemma", "3", "--trials", "100", "--seed", "0"),
              "053c61ce04365f7066562c3e370b0d036eb9ddcd28c80d58947dfbe115b39d22"),
+            (("simulate", "chain:20", "--trials", "20000", "--seed", "3", "--format", "csv"),
+             "c70824e0be291fd78bda4d76ee28e021a5bf3aaced34cf468ea902762732eda7"),
+            (("sweep", "chain:5", "--taus", "0.1,0.3679,0.7", "--trials", "20000", "--seed", "3"),
+             "defcadc176d7b5c2f9d9e04017351cf5df526df4cac5c275211aa0fe197c5c1e"),
+            (("exact-mu", "boolean:3"),
+             "0603613eba66a7d623bb78e63cb65f1a0722a8552bd7ebdffbe23a77b8512e88"),
+            (("exact-mu", "boolean:3", "--format", "csv"),
+             "14a22162ae51cf7d3d5e4dbbd80f459f10c5b7b5637423f103461286d8a005fb"),
+            (("exact-mu", "boolean:3", "--t", "1/2", "--format", "csv"),
+             "2402952f251d9aa1039e2948ef319ca0be98fd4af157bb3df17636ce63fd5afa"),
         ],
     )
     def test_stdout_digest(self, run, argv, digest):
         code, out, _ = run(*argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestReplay:
+    """The command a JSON report embeds replays it: same bytes, same exit code."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "wedge", "--trials", "2000", "--seed", "4"),
+            ("simulate", "{file}", "--tau", "0.5", "--trials", "2000"),
+            ("sweep", "chain:5", "--taus", "0.1, 0.5", "--trials", "2000"),
+            ("verify", "wedge", "--lemma", "all", "--trials", "3000", "--workers", "1"),
+            ("verify", "chain:12", "--lemma", "2", "--trials", "20000", "--seed", "2"),
+            ("exact-mu", "wedge"),
+            ("exact-mu", "wedge", "--t", "0.5"),
+            ("exact-mu", "{file}", "--t", "1/3"),
+        ],
+    )
+    def test_embedded_command_reproduces_the_report(self, run, tmp_path, argv):
+        spaced = tmp_path / "sp ace"
+        spaced.mkdir()
+        f = spaced / "w.poset"
+        f.write_text(posetfile.format_poset_text(families.wedge()))
+        code, out, _ = run(*(a.format(file=f) for a in argv))
+        assert code in (0, 1)
+        command = shlex.split(json.loads(out)["command"])
+        assert command[0] == "poset-secretary"
+        assert run(*command[1:])[:2] == (code, out)
+
+    def test_workers_is_a_monte_carlo_option(self, run):
+        with pytest.raises(SystemExit) as exc:
+            run("exact-mu", "boolean:3", "--workers", "2")
+        assert exc.value.code == 2
+        for argv in (("simulate", "wedge"), ("sweep", "wedge", "--taus", "0.5"),
+                     ("verify", "wedge", "--lemma", "3")):
+            assert run(*argv, "--trials", "1000", "--workers", "2")[0] == 0
 
 
 class TestImports:

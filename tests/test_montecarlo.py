@@ -310,6 +310,21 @@ class TestPinnedArrival:
         with pytest.raises(IndexError):
             verify_tagged_given_arrival(antichain(2), 5, 0.5, 1000)
 
+    def test_pins_are_checked_before_the_table_is_built(self, monkeypatch):
+        def no_table(p):
+            raise AssertionError("built the density table for an invalid pin")
+
+        monkeypatch.setattr(greedy, "_visit_densities", no_table)
+        p = random_poset(64, 0.1, seed=3)
+        top = min(p.maximal)
+        below = next(x for x in range(p.n) if x not in p.maximal)
+        with pytest.raises(ValueError, match="t must lie"):
+            verify_tagged_given_arrival(p, top, 2.0, 1000)
+        with pytest.raises(IndexError):
+            verify_tagged_given_arrival(p, p.n, 0.5, 1000)
+        with pytest.raises(NotMaximalError):
+            verify_tagged_given_arrival(p, below, 0.5, 1000)
+
 
 def pinned_reference(p, x, t, times, weights):
     """x's tag flag per row with its arrival time replaced by t, read from the
