@@ -6,11 +6,12 @@ Subcommands
     verify     statistical / exact checks of the strategy's distributional laws
     sweep      success estimates across a list of thresholds
 
-Poset sources are either generator specs (chain:20, antichain:5, wedge,
-boolean:3, forest:2,3,4, random:8:0.3:42) or paths to poset text files.
+Poset sources are either generator specs (grammar: `families.FAMILIES`, e.g.
+chain:20 or random:8:0.3:42) or paths to poset text files.
 
 Reports embed the command, every semantic parameter (seeds included) and the
 toolkit version, so re-running the embedded command reproduces the bytes.
+The command is built from the parameters alone, so the two cannot disagree.
 Worker count is deliberately not a parameter of the output: results are
 identical for any parallel layout.
 
@@ -23,6 +24,8 @@ its relation is built.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import shlex
@@ -32,7 +35,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import CycleError, GeneratorSpecError, PosetFileError, SourceError, TooLargeError
 from .engine import check_sim_cap
-from .families import parse_generator_spec
+from .families import FAMILIES, parse_generator_spec
 from .greedy import mu_exact
 from .montecarlo import (
     ALPHA_DEFAULT,
@@ -52,13 +55,10 @@ EXIT_PARSE = 2
 EXIT_BAD_PARAM = 3
 EXIT_OVER_CAP = 4
 
-_FAMILIES = ("chain", "antichain", "wedge", "boolean", "forest", "random")
-
 
 def _load_poset(source: str) -> Poset:
     """Resolve a source: generator specs win over file paths."""
-    family = source.split(":", 1)[0]
-    if family in _FAMILIES:
+    if source.split(":", 1)[0] in FAMILIES:
         spec = parse_generator_spec(source)
         check_sim_cap(spec.n)
         return spec.build()
@@ -66,7 +66,7 @@ def _load_poset(source: str) -> Poset:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SourceError(f"cannot read poset file {source!r}: {exc}") from exc
         n, pairs = parse_poset_relations(text)
         check_sim_cap(n)
@@ -76,7 +76,7 @@ def _load_poset(source: str) -> Poset:
             # bad indices, cycles, or an empty header are content problems
             raise PosetFileError(f"{source}: {exc}") from exc
     raise SourceError(
-        f"{source!r} is neither a known generator spec ({', '.join(_FAMILIES)}) nor a file"
+        f"{source!r} is neither a known generator spec ({', '.join(FAMILIES)}) nor a file"
     )
 
 
@@ -86,17 +86,17 @@ def _estimate_dict(est) -> dict:
     return d
 
 
-def _cell(value) -> str:
-    return "" if value is None else value if isinstance(value, str) else repr(value)
-
-
-def _csv(header: str, rows) -> str:
-    """CSV text: a None cell is blank, a string verbatim, anything else its repr."""
-    return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
+def _csv(header, rows) -> str:
+    """RFC 4180 CSV text: a None cell is blank; one holding a comma, quote or newline is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _estimates_csv(estimates) -> str:
-    return _csv("tau,p_hat,ci_low,ci_high,trials,seed",
+    return _csv(("tau", "p_hat", "ci_low", "ci_high", "trials", "seed"),
                 [(e.tau, e.p_hat, e.ci_low, e.ci_high, e.trials, e.master_seed) for e in estimates])
 
 
@@ -147,17 +147,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each handler returns (exit code, command argv, params, results, csv text);
-# main alone renders and writes the report.
+# Each handler returns (exit code, params, results, csv text); main alone
+# renders and writes the report, and derives its command from params.
 
 
 def _cmd_simulate(args):
     p = _load_poset(args.source)
     est = estimate_success(p, args.tau, args.trials, args.seed, workers=args.workers)
-    argv = ["simulate", args.source, "--tau", repr(args.tau),
-            "--trials", str(args.trials), "--seed", str(args.seed)]
     params = {"source": args.source, "tau": args.tau, "trials": args.trials, "seed": args.seed}
-    return EXIT_OK, argv, params, _estimate_dict(est), _estimates_csv([est])
+    return EXIT_OK, params, _estimate_dict(est), _estimates_csv([est])
 
 
 def _cmd_exact_mu(args):
@@ -176,11 +174,9 @@ def _cmd_exact_mu(args):
             row["mu_t"] = str(table.mu_t(x, t))
         rows.append(row)
     columns = ["element", "mu"] if t is None else ["element", "mu", "mu_t"]
-    argv = ["exact-mu", args.source, *([] if t is None else ["--t", str(t)]),
-            "--seed", str(args.seed)]
     params = {"source": args.source, "t": None if t is None else str(t), "seed": args.seed}
-    csv = _csv(",".join(columns), ([row.get(c) for c in columns] for row in rows))
-    return EXIT_OK, argv, params, {"n": p.n, "mu": rows}, csv
+    table = _csv(columns, ([row.get(c) for c in columns] for row in rows))
+    return EXIT_OK, params, {"n": p.n, "mu": rows}, table
 
 
 def _cmd_verify(args):
@@ -190,18 +186,16 @@ def _cmd_verify(args):
     lemmas = LEMMAS if args.lemma == "all" else (args.lemma,)
     reports = verify_lemmas(p, lemmas, args.trials, args.seed, args.alpha, args.workers)
     ok = all(r.passed for r in reports)
-    argv = ["verify", args.source, "--lemma", args.lemma, "--trials", str(args.trials),
-            "--seed", str(args.seed), "--alpha", repr(args.alpha)]
     params = {"source": args.source, "lemma": args.lemma, "trials": args.trials,
               "seed": args.seed, "alpha": args.alpha}
     results = {"checks": [vars(r) for r in reports],
                "total": len(reports),
                "failures": sum(1 for r in reports if not r.passed),
                "passed": ok}
-    csv = _csv("statistic,observed,reference,p_value,passed,sample_size",
-               [(r.statistic, r.observed, f'"{_cell(r.reference)}"', r.p_value, r.passed,
-                 r.sample_size) for r in reports])
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED, argv, params, results, csv
+    table = _csv(("statistic", "observed", "reference", "p_value", "passed", "sample_size"),
+                 [(r.statistic, r.observed, r.reference, r.p_value, r.passed, r.sample_size)
+                  for r in reports])
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED, params, results, table
 
 
 def _cmd_sweep(args):
@@ -213,10 +207,18 @@ def _cmd_sweep(args):
         raise ValueError("--taus must contain at least one threshold")
     p = _load_poset(args.source)
     estimates = threshold_sweep(p, taus, args.trials, args.seed, workers=args.workers)
-    argv = ["sweep", args.source, "--taus", args.taus,
-            "--trials", str(args.trials), "--seed", str(args.seed)]
     params = {"source": args.source, "taus": taus, "trials": args.trials, "seed": args.seed}
-    return EXIT_OK, argv, params, [_estimate_dict(e) for e in estimates], _estimates_csv(estimates)
+    return EXIT_OK, params, [_estimate_dict(e) for e in estimates], _estimates_csv(estimates)
+
+
+def _command(cmd: str, params: dict, fmt: str) -> str:
+    """The shell command that replays a report: the subcommand, the source, then
+    `--key value` per other param in order (None skipped, a list comma-joined)."""
+    words = ["poset-secretary", cmd, params["source"]]
+    for key, value in params.items():
+        if key != "source" and value is not None:
+            words += [f"--{key}", ",".join(map(repr, value)) if isinstance(value, list) else str(value)]
+    return shlex.join([*words, "--format", fmt])
 
 
 def main(argv=None) -> int:
@@ -228,7 +230,7 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
-        code, command, params, results, csv = handlers[args.cmd](args)
+        code, params, results, table = handlers[args.cmd](args)
     except (SourceError, PosetFileError, GeneratorSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -238,11 +240,10 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAM
-    fmt = args.fmt
-    if fmt == "csv":
-        text = csv
+    if args.fmt == "csv":
+        text = table
     else:
-        doc = {"command": shlex.join(["poset-secretary", *command, "--format", fmt]),
+        doc = {"command": _command(args.cmd, params, args.fmt),
                "version": __version__, "params": params, "results": results}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)

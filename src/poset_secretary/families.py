@@ -5,12 +5,16 @@ an underlying linear order, keep each pair (i, j) with i < j independently
 with probability p, and transitively close.  p=0 gives the antichain, p=1
 the chain, so one knob spans the whole range the success-probability bound
 has to survive.
+
+Each family is one row of `FAMILIES`, whose grammar comment is the one
+statement of the generator-spec syntax; `parse_generator_spec`, `GeneratorSpec`
+and the CLI all read that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +28,8 @@ __all__ = [
     "boolean_lattice",
     "random_poset",
     "forest_of_chains",
+    "Family",
+    "FAMILIES",
     "GeneratorSpec",
     "parse_generator_spec",
 ]
@@ -78,18 +84,50 @@ def forest_of_chains(lengths: Sequence[int]) -> Poset:
     return from_relations(base, pairs)
 
 
+def _ints(token: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in token.split(","))
+
+
+class Family(NamedTuple):
+    """One generator family: its name, parameter tokens, size rule and builder.
+
+    Each token is (label, parse); the size rule and the builder take the
+    parsed values in token order.
+    """
+
+    name: str
+    tokens: tuple[tuple[str, Callable[[str], object]], ...]
+    size: Callable[..., int]
+    build: Callable[..., Poset]
+
+    @property
+    def grammar(self) -> str:
+        return ":".join([self.name, *(label for label, _ in self.tokens)])
+
+
+# The generator-spec grammar, one spec per string; README's CLI section
+# repeats this line and a test keeps the two equal:
+#     chain:N   antichain:N   wedge   boolean:K   forest:L1,L2,...   random:N:P:SEED
+FAMILIES = {f.name: f for f in (
+    Family("chain", (("N", int),), lambda n: n, chain),
+    Family("antichain", (("N", int),), lambda n: n, antichain),
+    Family("wedge", (), lambda: 3, wedge),
+    Family("boolean", (("K", int),), lambda k: 1 << max(k, 0), boolean_lattice),
+    Family("forest", (("L1,L2,...", _ints),), sum, forest_of_chains),
+    Family("random", (("N", int), ("P", float), ("SEED", int)), lambda n, p, seed: n, random_poset),
+)}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parsed family:params text, buildable into a Poset.
 
-    Grammar (one spec per string):
-        chain:N  antichain:N  wedge  boolean:K  forest:L1,L2,...  random:N:P:SEED
+    `params` holds the parsed values of the family's tokens in `FAMILIES`,
+    whose comment gives the grammar.
     """
 
     family: str
-    sizes: tuple[int, ...] = ()
-    edge_probability: float | None = None
-    seed: int | None = None
+    params: tuple = ()
 
     @property
     def n(self) -> int:
@@ -98,42 +136,14 @@ class GeneratorSpec:
         Nothing is built or validated, so a caller can check a size cap
         before build() allocates its n-by-n relation.
         """
-        if self.family == "wedge":
-            return 3
-        if self.family == "boolean":
-            return 1 << max(self.sizes[0], 0)
-        return sum(self.sizes)  # forest; every other family has one size
+        return FAMILIES[self.family].size(*self.params)
 
     def build(self) -> Poset:
-        if self.family == "chain":
-            return chain(self.sizes[0])
-        if self.family == "antichain":
-            return antichain(self.sizes[0])
-        if self.family == "wedge":
-            return wedge()
-        if self.family == "boolean":
-            return boolean_lattice(self.sizes[0])
-        if self.family == "forest":
-            return forest_of_chains(self.sizes)
-        if self.family == "random":
-            return random_poset(self.sizes[0], self.edge_probability, self.seed)
-        raise GeneratorSpecError(f"unknown family {self.family!r}")
+        return FAMILIES[self.family].build(*self.params)
 
     def __str__(self) -> str:
-        if self.family == "wedge":
-            return "wedge"
-        if self.family == "forest":
-            return "forest:" + ",".join(str(m) for m in self.sizes)
-        if self.family == "random":
-            return f"random:{self.sizes[0]}:{self.edge_probability!r}:{self.seed}"
-        return f"{self.family}:{self.sizes[0]}"
-
-
-def _int(token: str, spec: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise GeneratorSpecError(f"expected an integer in {spec!r}, got {token!r}") from None
+        return ":".join([self.family, *(",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                                        for v in self.params)])
 
 
 def parse_generator_spec(text: str) -> GeneratorSpec:
@@ -142,32 +152,12 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
     Syntax problems (unknown family, wrong arity, non-numeric tokens) raise
     here; out-of-range values surface later from build() as ValueError.
     """
-    parts = text.strip().split(":")
-    family, params = parts[0], parts[1:]
-    if family in ("chain", "antichain", "boolean"):
-        if len(params) != 1:
-            raise GeneratorSpecError(f"{family} takes exactly one parameter, got {text!r}")
-        return GeneratorSpec(family, sizes=(_int(params[0], text),))
-    if family == "wedge":
-        if params:
-            raise GeneratorSpecError(f"wedge takes no parameters, got {text!r}")
-        return GeneratorSpec("wedge")
-    if family == "forest":
-        if len(params) != 1 or not params[0]:
-            raise GeneratorSpecError(f"forest takes a comma list of lengths, got {text!r}")
-        lengths = tuple(_int(tok, text) for tok in params[0].split(","))
-        return GeneratorSpec("forest", sizes=lengths)
-    if family == "random":
-        if len(params) != 3:
-            raise GeneratorSpecError(f"random takes N:P:SEED, got {text!r}")
-        try:
-            prob = float(params[1])
-        except ValueError:
-            raise GeneratorSpecError(f"expected a float probability in {text!r}") from None
-        return GeneratorSpec(
-            "random",
-            sizes=(_int(params[0], text),),
-            edge_probability=prob,
-            seed=_int(params[2], text),
-        )
-    raise GeneratorSpecError(f"unknown poset family {family!r}")
+    name, *tokens = text.strip().split(":")
+    family = FAMILIES.get(name)
+    if family is None:
+        raise GeneratorSpecError(f"unknown poset family {name!r}")
+    try:  # a wrong token count is a ValueError too, from zip(strict=True)
+        params = tuple(parse(token) for (_, parse), token in zip(family.tokens, tokens, strict=True))
+    except ValueError:
+        raise GeneratorSpecError(f"expected {family.grammar}, got {text!r}") from None
+    return GeneratorSpec(name, params)

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: formats, determinism, exit codes."""
 
+import csv
 import hashlib
 import json
 import os
@@ -72,6 +73,10 @@ class TestSimulate:
         code, _, _ = run("simulate", "spiral:9")
         assert code == 2
 
+    def test_unknown_source_lists_the_family_table_in_order(self, run):
+        _, _, err = run("simulate", "spiral:9")
+        assert f"known generator spec ({', '.join(families.FAMILIES)})" in err
+
     def test_file_source(self, run, tmp_path):
         f = tmp_path / "p.poset"
         f.write_text("poset n=3\n0 < 1\n0 < 2\n")
@@ -86,6 +91,12 @@ class TestSimulate:
         f.write_text("not a poset\n")
         code, _, _ = run("simulate", str(f))
         assert code == 2
+
+    def test_file_that_is_not_utf8_is_exit_2_naming_it(self, run, tmp_path):
+        f = tmp_path / "bad.poset"
+        f.write_bytes(b"\xff\xfe")
+        code, out, err = run("simulate", str(f))
+        assert code == 2 and out == "" and str(f) in err
 
 
 class TestExactMu:
@@ -260,7 +271,7 @@ class TestGoldenBytes:
             (("verify", "random:8:0.3:42", "--trials", "20000", "--seed", "3"),
              "f3be31d5651498f3b241e0ece6369d4e31660f4577be4af87198bf2f40218ca0"),
             (("verify", "random:8:0.3:42", "--trials", "20000", "--seed", "3", "--format", "csv"),
-             "380285b9a98789cfc53022bd44fb700445028868a3fb9bcd6d6feae68bc3ddbe"),
+             "22894cab2a6ca8f666987303def89b10121933da381de9180e48a3dc0724273c"),
             (("sweep", "chain:5", "--taus", "0.1,0.3679,0.7", "--trials", "20000",
               "--seed", "3", "--format", "csv"),
              "e30ad01e03a74670d1bfc5e1a326c0f28c0ba6c38f299053f49e1785d65e273d"),
@@ -288,6 +299,29 @@ class TestGoldenBytes:
         code, out, _ = run(*argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestCsvReadsBack:
+    """Every CSV report parses under csv.reader into rows of the header's width."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "wedge", "--trials", "2000"),
+            ("sweep", "chain:5", "--taus", "0.1,0.5", "--trials", "2000"),
+            ("exact-mu", "wedge"),
+            ("exact-mu", "wedge", "--t", "1/2"),
+            ("verify", "wedge", "--lemma", "2", "--trials", "3000"),
+            ("verify", "wedge", "--lemma", "3", "--trials", "3000"),
+            ("verify", "wedge", "--lemma", "4", "--trials", "3000"),
+            ("verify", "wedge", "--lemma", "5", "--trials", "3000"),
+        ],
+    )
+    def test_rows_have_the_header_width(self, run, argv):
+        code, out, _ = run(*argv, "--format", "csv")
+        header, *rows = csv.reader(out.splitlines())
+        assert code == 0 and rows
+        assert [len(row) for row in rows] == [len(header)] * len(rows)
 
 
 class TestReplay:

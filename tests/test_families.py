@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from poset_secretary.errors import GeneratorSpecError
 from poset_secretary.families import (
+    FAMILIES,
     GeneratorSpec,
     antichain,
     boolean_lattice,
@@ -116,7 +119,8 @@ class TestSpecGrammar:
         assert spec.n == spec.build().n == n
 
     def test_round_trips_through_str(self):
-        for text in ["chain:7", "wedge", "forest:2,3", "random:8:0.3:42"]:
+        for text in ["chain:7", "antichain:4", "wedge", "boolean:2", "forest:2,3",
+                     "random:8:0.3:42"]:
             spec = parse_generator_spec(text)
             assert parse_generator_spec(str(spec)) == spec
 
@@ -155,9 +159,16 @@ class TestSpecGrammar:
             parse_generator_spec("random:8:1.7:1").build()
 
     def test_spec_is_hashable_value(self):
-        a = GeneratorSpec("chain", (5,), None, None)
+        a = GeneratorSpec("chain", (5,))
         b = parse_generator_spec("chain:5")
         assert a == b and hash(a) == hash(b)
+
+
+def test_readme_grammar_line_is_the_family_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in readme.splitlines() if line.startswith("chain:N ")]
+    assert len(lines) == 1
+    assert lines[0].split() == [f.grammar for f in FAMILIES.values()]
 
 
 def test_families_produce_expected_covers():
