@@ -12,14 +12,8 @@ never what comes out.  A chunk may be drawn in consecutive pieces of rows:
 the stream continues where the last piece ended, so the pieces are
 bit-identical to one whole-chunk draw.  chunk_tags draws and tags a chunk
 _SUB_BATCH rows at a time, so its weights never exist at chunk level; it
-returns float64 times, the uint8 arrival and weight orders (n <= SIM_CAP)
+returns float64 times, the uint8 arrival and series orders (n <= SIM_CAP)
 and the bool tag matrix, each (rows, n).
-
-Key rule: chunk_tags orders elements by the keys (word >> 11) << 6 | x,
-unique in a row and ascending as the stable order does (by value, then by
-index), so one uint64 sort gives the weight order and one more gives the
-arrival order, and no tie needs a check.  batch_tag_matrix takes any
-floats: it uses the stable argsort for both orders.
 
 The tag matrix gives the same flags as simulate.tag_sequence without running
 its greedy scan once per arrival prefix.  It is element-major: tagged[b, x]
@@ -33,24 +27,53 @@ hold:
       x lies below x, or there is no such arrival;
   (b) no earlier arrival lies above x.
 
+Series rule: (a) needs checking only inside a block.  The poset is the
+ordinal sum of its series parts (Poset.series_parts, bottom to top): every
+element of a part lies below every element of each later part.  A part of
+one element is a post; one of two or more is a block.  Given (b), no earlier
+arrival lies in a part above x's own part, so the earlier and lighter
+arrivals lie in x's part or below it.  Their greedy chain climbs, so once it
+takes an element of x's part it stays there, and it takes the first one it
+meets, which lies above all it took before.  So when some earlier and
+lighter arrival shares x's part, the chain's maximum is the greedy maximum
+of those arrivals alone; when none does, it lies below x or does not exist,
+and (a) holds.  A post shares its part with nothing, so it passes (a)
+outright: on a chain every element is a post, and a chain's tags are (b)
+alone.
+
+Key rule: chunk_tags orders elements by the keys (word >> 11) << 6 | x,
+unique in a row and ascending as the stable order does (by value, then by
+index), so one uint64 sort gives the arrival order and one more gives the
+weight order, and no tie needs a check.  Weight keys also carry the
+element's series rank in their top 5 bits: blocks 0..q-1 bottom to top and
+posts 31 (q <= 32, as each block has two elements or more, and q = 32 leaves
+no post).  The one weight sort so gives the series order: each block
+lightest first, bottom to top, then the posts lightest first.  A poset of
+one series part leaves its keys without ranks, as every rank would be
+equal, and its series order is the stable weight order.  batch_tag_matrix
+takes any floats: it uses the stable argsort for both orders and a stable
+argsort by rank for the series order.
+
 Elements are bits of the smallest unsigned dtype that holds n of them, which
 caps simulation at SIM_CAP elements.  seen[x] is the mask of the elements
 that arrived no later than x: one prefix-OR of bits along the arrival order,
 scattered back to element order.  (b) is seen[x] & up(x) == 0.  For (a),
-column r stands for the r-th lightest element e_r and holds seen[e_r] &
-up(g), g its current greedy element; it starts at seen[e_r], as no element
-is taken yet.  Weight step w feeds element e_w to the columns r > w, and a
-column that holds e_w's bit (so e_w arrived before e_r and lies above g)
-jumps: it becomes its own AND up(e_w), which is seen[e_r] & up(e_w), because
-up(e_w) is a subset of up(g) whenever e_w lies above g.  So a column only
-shrinks, and no arrival needs a compare: every bit left in it arrived
-earlier.  That is a triangle of n(n-1)/2 contiguous elementwise updates per
-row.  Column w is final once step w starts, so x = e_w passes (a) iff its
-mask holds x's own bit; OR-ing those bits over the columns gives a mask of
-the elements that pass, with no scatter back to element order.  Rows are
-independent and are worked in sub-batches, which bounds the temporaries
-without changing any result.  Equivalence with the per-trial reference is
-pinned by tests.
+column r stands for the element e_r at position r of the series order and
+holds seen[e_r] & up(g), g its current greedy element; it starts at
+seen[e_r], as no element is taken yet.  Step w feeds element e_w to the
+later columns r of its own block, and a column that holds e_w's bit (so e_w
+arrived before e_r and lies above g) jumps: it becomes its own AND up(e_w),
+which is seen[e_r] & up(e_w), because up(e_w) is a subset of up(g) whenever
+e_w lies above g.  So a column only shrinks, and no arrival needs a compare:
+every bit left in it arrived earlier.  That is a triangle of k(k-1)/2
+contiguous elementwise updates per row for each block of k elements, in
+place of n(n-1)/2 for the whole poset, and posts take no column.  Column w
+is final once step w starts, so x = e_w passes (a) iff its mask holds x's
+own bit; OR-ing those bits over the columns, and the posts' bits, gives a
+mask of the elements that pass, with no scatter back to element order.
+Rows are independent and are worked in sub-batches, which bounds the
+temporaries without changing any result.  Equivalence with the per-trial
+reference is pinned by tests.
 """
 
 from __future__ import annotations
@@ -89,9 +112,15 @@ _SUB_BATCH = 2048
 
 _MASK64 = (1 << 64) - 1
 
-# Order keys hold a uniform's 53 bits above the element index.
+# Order keys hold a uniform's 53 bits above the element index, and weight
+# keys hold the element's series rank above both: blocks 0..q-1 bottom to
+# top, posts _POST_RANK.  A block has two or more elements, so q <= SIM_CAP/2,
+# and q reaches 2^_RANK_BITS only when there is no post.
 _INDEX_BITS = 6
-assert SIM_CAP <= 1 << _INDEX_BITS and 53 + _INDEX_BITS <= 64
+_RANK_BITS = 5
+_POST_RANK = (1 << _RANK_BITS) - 1
+assert SIM_CAP <= 1 << _INDEX_BITS and SIM_CAP // 2 <= 1 << _RANK_BITS
+assert 53 + _INDEX_BITS + _RANK_BITS <= 64
 
 
 def _philox(master_seed: int, chunk_index: int) -> np.random.Generator:
@@ -124,13 +153,6 @@ def chunk_uniforms(
     return mat[:, :n], mat[:, n:]
 
 
-def _with_index(ulps: np.ndarray, n: int) -> np.ndarray:
-    """Order keys, in place, of uniforms given in units of 2^-53: column j gets index j mod n."""
-    ulps <<= _INDEX_BITS
-    ulps |= np.arange(ulps.shape[1], dtype=np.uint64) % np.uint64(n)
-    return ulps
-
-
 def _key_order(keys: np.ndarray) -> np.ndarray:
     """Each row's elements (uint8) in ascending key order, i.e. the stable order."""
     order = np.sort(keys, axis=1).astype(np.uint8)
@@ -138,19 +160,27 @@ def _key_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _chunk_pieces(n: int, master_seed: int, chunk_index: int, rows: int):
+def _chunk_pieces(
+    n: int, master_seed: int, chunk_index: int, rows: int, ranks: np.ndarray | None = None
+):
     """Yield (first row, times, keys) of one canonical chunk, _SUB_BATCH rows at a time.
 
     A piece holds the rows that start at its first row: times (m, n) equal to
     chunk_uniforms' times bit for bit, and the order keys (m, 2n) of the same
-    rows' times, then weights.
+    rows' times, then weights.  ranks, when given, holds each element's
+    series rank already shifted into the weight keys' top bits.
     """
+    tail = np.tile(np.arange(n, dtype=np.uint64), 2)
+    if ranks is not None:
+        tail[n:] |= ranks
     bitgen = _philox(master_seed, chunk_index).bit_generator
     for lo in range(0, rows, _SUB_BATCH):
         words = bitgen.random_raw((min(_SUB_BATCH, rows - lo), 2 * n))
         words >>= 11
         times = words[:, :n] * 2.0**-53
-        yield lo, times, _with_index(words, n)
+        words <<= _INDEX_BITS
+        words |= tail
+        yield lo, times, words
 
 
 def trial_for_index(n: int, master_seed: int, trial_index: int) -> Trial:
@@ -180,12 +210,37 @@ def _mask_dtype(n: int) -> type:
     return next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64) if n <= np.iinfo(d).bits)
 
 
-def _kernel_tables(p: Poset) -> tuple[np.ndarray, np.ndarray]:
-    """(element bits, up-masks) of p, in p's mask dtype."""
+def _kernel_tables(
+    p: Poset,
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...], np.integer]:
+    """(element bits, up-masks, blocks, posts) of p, in p's mask dtype.
+
+    blocks lists each block's (start, stop) positions in the series order,
+    bottom to top; the posts fill the positions after the last block, and
+    posts is their mask.
+    """
     check_sim_cap(p.n)
     dtype = _mask_dtype(p.n)
     bits = np.left_shift(dtype(1), np.arange(p.n, dtype=dtype))
-    return bits, np.array(p.above_masks, dtype=dtype)
+    stops = np.cumsum([len(part) for part in p.series_parts if len(part) > 1]).tolist()
+    blocks = tuple(zip([0, *stops], stops))
+    posts = dtype(sum(1 << part[0] for part in p.series_parts if len(part) == 1))
+    return bits, np.array(p.above_masks, dtype=dtype), blocks, posts
+
+
+def _series_ranks(p: Poset) -> np.ndarray | None:
+    """Each element's series rank, shifted into the weight keys' top bits.
+
+    None when p is one series part: every rank is equal, so the keys go
+    without them and the series order is the stable weight order.
+    """
+    parts = p.series_parts
+    if len(parts) == 1:
+        return None
+    ranks = np.full(p.n, _POST_RANK, dtype=np.uint64)
+    for rank, block in enumerate(part for part in parts if len(part) > 1):
+        ranks[list(block)] = rank
+    return ranks << np.uint64(53 + _INDEX_BITS)
 
 
 def _columns(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,19 +259,24 @@ def _columns(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def batch_tag_matrix(
     p: Poset, times: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stable weight order and the (trials, n) element-major tag matrix.
+    """Series order and the (trials, n) element-major tag matrix.
 
-    worder[b] (uint8) lists row b's elements lightest first, ties broken by
-    index.  tagged[b, x] is True iff element x, when it arrives in trial b,
-    is the greedy maximum of the order induced on everything arrived so far.
-    Raises TooLargeError when p.n exceeds SIM_CAP.
+    worder[b] (uint8) lists row b's elements in the series order: the
+    blocks bottom to top, then the posts, each lightest first with ties
+    broken by index.  tagged[b, x] is True iff element x, when it arrives in
+    trial b, is the greedy maximum of the order induced on everything
+    arrived so far.  Raises TooLargeError when p.n exceeds SIM_CAP.
     """
     tables = _kernel_tables(p)
+    ranks = _series_ranks(p)
     worder = np.empty(times.shape, dtype=np.uint8)  # n <= SIM_CAP
     tagged = np.empty(times.shape, dtype=bool)
     for lo in range(0, times.shape[0], _SUB_BATCH):
         rows = slice(lo, lo + _SUB_BATCH)
-        worder[rows] = _stable_argsort(weights[rows])
+        wo = _stable_argsort(weights[rows])
+        if ranks is not None:  # a stable sort by rank keeps each part's weight order
+            wo = np.take_along_axis(wo, _stable_argsort(ranks[wo]), axis=1)
+        worder[rows] = wo
         tagged[rows] = _tag_sub_batch(*tables, _stable_argsort(times[rows]), worder[rows])
     return worder, tagged
 
@@ -227,9 +287,9 @@ def chunk_tags(
     """(times, aorder, worder, tagged) of one canonical chunk, drawn and tagged per sub-batch.
 
     Equal to chunk_uniforms' times, their stable arrival order and
-    batch_tag_matrix on its output, but the weights live only one sub-batch
-    at a time.  Raises TooLargeError when p.n exceeds SIM_CAP, before
-    anything is drawn.
+    batch_tag_matrix on its output (worder is the series order), but the
+    weights live only one sub-batch at a time.  Raises TooLargeError when
+    p.n exceeds SIM_CAP, before anything is drawn.
     """
     tables = _kernel_tables(p)
     n = p.n
@@ -237,7 +297,8 @@ def chunk_tags(
     aorder = np.empty((rows, n), dtype=np.uint8)
     worder = np.empty((rows, n), dtype=np.uint8)
     tagged = np.empty((rows, n), dtype=bool)
-    for lo, piece_times, keys in _chunk_pieces(n, master_seed, chunk_index, rows):
+    pieces = _chunk_pieces(n, master_seed, chunk_index, rows, _series_ranks(p))
+    for lo, piece_times, keys in pieces:
         sub = slice(lo, lo + len(keys))
         times[sub] = piece_times
         aorder[sub] = _key_order(keys[:, :n])
@@ -264,34 +325,47 @@ def _seen(ao: np.ndarray, dtype: type) -> np.ndarray:
 
 
 def _tag_sub_batch(
-    bits: np.ndarray, up: np.ndarray, ao: np.ndarray, wo: np.ndarray
+    bits: np.ndarray,
+    up: np.ndarray,
+    blocks: tuple[tuple[int, int], ...],
+    posts: np.integer,
+    ao: np.ndarray,
+    wo: np.ndarray,
 ) -> np.ndarray:
-    """Tag flags (rows, n) of one sub-batch from its arrival and weight orders.
+    """Tag flags (rows, n) of one sub-batch from its arrival and series orders.
 
-    ao and wo are (rows, n) permutations, earliest and lightest first.  Work
-    arrays are (n, rows), so each step's slice is contiguous.
+    ao and wo are (rows, n) permutations: ao earliest first, wo the series
+    order, whose positions blocks[i] = (start, stop) hold block i lightest
+    first and whose later positions hold the posts, the elements of the
+    mask posts.  Work arrays are (positions, rows), so each step's slice is
+    contiguous.
     """
     dtype = up.dtype.type
     seen = _seen(ao, dtype)
     tag = (seen & up) == 0  # (b)
+    if not blocks:
+        return tag  # every element is a post, and a post passes (a)
 
-    # (a): column r starts at seen[e_r] and only shrinks
-    wo, at = _columns(wo)
+    # (a), inside each block: column r starts at seen[e_r] and only shrinks
+    wo, at = (a[:blocks[-1][1]] for a in _columns(wo))  # the posts take no column
     state = seen.take(at)
     upw = up.take(wo)
-    n, rows = state.shape
-    scratch = np.empty((n - 1, rows), dtype=dtype)
-    for w in range(n - 1):
-        cols = state[w + 1:]
-        keep = np.right_shift(cols, wo[w], out=scratch[:n - 1 - w])
-        keep &= 1  # 1 where the column holds e_w, else 0
-        keep -= 1  # 0 there, all-ones elsewhere
-        keep |= upw[w]
-        # cols &= up(e_w) where it holds e_w, branch-free: a masked AND is
-        # about twice as slow when jumps are dense, as on chains
-        cols &= keep
+    widest = max(stop - start for start, stop in blocks)
+    scratch = np.empty((widest - 1, state.shape[1]), dtype=dtype)
+    for start, stop in blocks:
+        for w in range(start, stop - 1):
+            cols = state[w + 1:stop]
+            keep = np.right_shift(cols, wo[w], out=scratch[:stop - 1 - w])
+            keep &= 1  # 1 where the column holds e_w, else 0
+            keep -= 1  # 0 there, all-ones elsewhere
+            keep |= upw[w]
+            # cols &= up(e_w) where it holds e_w, branch-free: a masked AND was
+            # about twice as slow where jumps are dense (measured on chains)
+            cols &= keep
     state &= np.left_shift(dtype(1), wo, dtype=dtype)  # wo is uint8: shift in dtype
     passed = np.bitwise_or.reduce(state, axis=0)  # bit x: x passes (a)
+    if posts:
+        passed |= posts
     tag &= (passed[:, None] & bits) != 0
     return tag
 

@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GeneratorSpecError
+from .engine import SIM_CAP
+from .errors import GeneratorSpecError, TooLargeError
 from .posets import Poset, from_relations
 
 __all__ = [
@@ -84,6 +85,13 @@ def forest_of_chains(lengths: Sequence[int]) -> Poset:
     return from_relations(base, pairs)
 
 
+def _boolean_size(k: int) -> int:
+    """2^k; an exponent past SIM_CAP's bit length is refused before 2^k is built."""
+    if k > SIM_CAP.bit_length():
+        raise TooLargeError(f"boolean:{k} has 2^{k} elements, over the size cap n <= {SIM_CAP}")
+    return 1 << max(k, 0)
+
+
 def _ints(token: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in token.split(","))
 
@@ -112,7 +120,7 @@ FAMILIES = {f.name: f for f in (
     Family("chain", (("N", int),), lambda n: n, chain),
     Family("antichain", (("N", int),), lambda n: n, antichain),
     Family("wedge", (), lambda: 3, wedge),
-    Family("boolean", (("K", int),), lambda k: 1 << max(k, 0), boolean_lattice),
+    Family("boolean", (("K", int),), _boolean_size, boolean_lattice),
     Family("forest", (("L1,L2,...", _ints),), sum, forest_of_chains),
     Family("random", (("N", int), ("P", float), ("SEED", int)), lambda n, p, seed: n, random_poset),
 )}
@@ -134,7 +142,9 @@ class GeneratorSpec:
         """Element count of the poset build() makes, from the parameters alone.
 
         Nothing is built or validated, so a caller can check a size cap
-        before build() allocates its n-by-n relation.
+        before build() allocates its n-by-n relation.  boolean:K with K past
+        the cap's bit length raises TooLargeError here, so 2^K is never
+        built.
         """
         return FAMILIES[self.family].size(*self.params)
 

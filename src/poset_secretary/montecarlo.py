@@ -15,12 +15,12 @@ reducer reads the weights, which live one sub-batch at a time.  Acceptance
 and last-tag times read tagged elements' times directly; only the lemma-2
 checks, which count by arrival position, read the flags in the arrival order
 the kernel sorted.  Lemma 4's pinned check reads no tag flags: one bitmask
-scan over the weight order per pinned time serves every maximal element (see
-_pinned_tags), one sub-batch of the chunk at a time.  Every estimate and
-check is a (reducer, report) pair run by _run_checks: verify_lemmas runs all
-requested checks over one pass and at most one process pool, and each
-per-lemma function and threshold_sweep run the same code path with their
-own.
+scan over the kernel's series order per pinned time serves every maximal
+element (see _pinned_tags), one sub-batch of the chunk at a time.  Every
+estimate and check is a (reducer, report) pair run by _run_checks:
+verify_lemmas runs all requested checks over one pass and at most one
+process pool, and each per-lemma function and threshold_sweep run the same
+code path with their own.
 
 P-values come from pvalues: the exact two-sided binomial test for each tag
 marginal, Pearson's chi-square for pairwise independence and the joint
@@ -261,8 +261,9 @@ def _last_tag_values(t, times, aorder, worder, tagged) -> np.ndarray:
 # kernel holds trivially, as nothing lies above x, and a greedy chain that
 # reaches a maximal x ends there.  So x is tagged iff its bit is in the
 # up-mask of M's running greedy element when a weight-order scan of M
-# reaches x.  Whether x itself is a member matters only from that step on,
-# so with no time equal to t, every x at t scans the same members
+# reaches x; the kernel's series order serves as well (see _pinned_tags).
+# Whether x itself is a member matters only from that step on, so with no
+# time equal to t, every x at t scans the same members
 # {y : time_y < t}: one scan serves every pin at t, each read at its own
 # step.  A time equal to t (quantised inputs; a Philox draw is one with
 # probability 2^-53) brings in the tie rule, and then each pin at that t
@@ -305,8 +306,19 @@ def _pinned_tags(
     Row i of the (len(pins), rows) result belongs to pins[i].  x is tagged
     iff it is the greedy maximum of itself and every y with time_y < t, or
     time_y == t and y < x (the stable arrival sort's tie rule), taken in the
-    row's stable weight order ``worder``; every x must be maximal.
-    up_masks holds each element's up-mask in engine's mask dtype.
+    row's weight order; every x must be maximal.  up_masks holds each
+    element's up-mask in engine's mask dtype.
+
+    ``worder`` may be the stable weight order or the series order that
+    engine.chunk_tags returns: both give the same flags, ties at t included.
+    Every maximal element lies in the top series part T, and before a
+    member x of T either order lists only elements of lower parts and, in
+    weight order, the members of T lighter than x.  When the scan reaches
+    x, its running greedy element is the greedy maximum of T's lighter
+    members if there are any (it takes the first one it meets, as T lies
+    above every other part, and never leaves T), and otherwise lies below x
+    or is not yet taken.  If T is a post, x lies above every other element
+    and passes in either order.
     """
     dtype = up_masks.dtype.type
     wo, at = engine._columns(worder)

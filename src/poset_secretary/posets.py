@@ -86,6 +86,33 @@ class Poset:
         bits = 1 << np.arange(self.n, dtype=object)
         return tuple(int((bits * self.lt[i]).sum()) for i in range(self.n))
 
+    @cached_property
+    def series_parts(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components of the incomparability graph, bottom to top.
+
+        The poset is the ordinal sum of these parts: every element of a part
+        lies below every element of each later part.  A one-element part is
+        a post, an element comparable to every other.  Each part lists its
+        elements in ascending order.
+        """
+        linked = ~(self.lt | self.lt.T)  # incomparable, or equal
+        free = np.ones(self.n, dtype=bool)
+        parts = []
+        while free.any():
+            part = np.zeros(self.n, dtype=bool)
+            part[np.argmax(free)] = True
+            while True:
+                grown = linked[part].any(axis=0)
+                if (grown == part).all():
+                    break
+                part = grown
+            free &= ~part
+            parts.append(tuple(int(x) for x in np.flatnonzero(part)))
+        # below an element lie all the lower parts and less than its own part,
+        # so any one element's count below ranks its part
+        below = self.lt.sum(axis=0)
+        return tuple(sorted(parts, key=lambda part: below[part[0]]))
+
     def __reduce__(self):
         # Rebuild through the constructor so unpickled copies are validated
         # and write-locked like any other instance (cached views recompute).

@@ -165,18 +165,19 @@ def _read_after_order(bitw, upw, member):
     return state
 
 
-def _b_only(bits, up, ao, wo, _kernel=engine._tag_sub_batch):
+def _b_only(bits, up, blocks, posts, ao, wo, _kernel=engine._tag_sub_batch):
     """Kernel mutant: test (b) alone.
 
-    With weights falling along the arrival order, no arrival is earlier and
-    lighter than x, so (a) always passes.
+    One block of every element, with weights falling along the arrival
+    order: no arrival is earlier and lighter than x, so (a) always passes.
     """
-    return _kernel(bits, up, ao, np.ascontiguousarray(ao[:, ::-1]))
+    one_block = ((0, ao.shape[1]),)
+    return _kernel(bits, up, one_block, up.dtype.type(0), ao, np.ascontiguousarray(ao[:, ::-1]))
 
 
-def _a_ignores_arrival(bits, up, ao, wo, _kernel=engine._tag_sub_batch):
+def _a_ignores_arrival(bits, up, blocks, posts, ao, wo, _kernel=engine._tag_sub_batch):
     """Kernel mutant: (a) over every lighter element, arrived or not, with the true (b)."""
-    return _kernel(bits, up, wo, wo) & _b_only(bits, up, ao, wo)
+    return _kernel(bits, up, blocks, posts, wo, wo) & _b_only(bits, up, blocks, posts, ao, wo)
 
 
 class TestVerify:
@@ -435,6 +436,8 @@ class TestErrorTaxonomy:
             ("verify", "forest:40,40"),
             ("sweep", "boolean:7", "--taus", "0.5"),
             ("exact-mu", "{file}"),
+            ("exact-mu", "boolean:20000"),  # 2^K has more digits than str() prints
+            ("exact-mu", "boolean:10000000000"),  # 2^K would take over a gigabyte
         ],
     )
     def test_over_every_cap_is_refused_before_building(self, run, monkeypatch, tmp_path, argv):

@@ -23,7 +23,14 @@ from poset_secretary.engine import (
     trial_for_index,
 )
 from poset_secretary.errors import TooLargeError
-from poset_secretary.families import antichain, boolean_lattice, chain, random_poset, wedge
+from poset_secretary.families import (
+    antichain,
+    boolean_lattice,
+    chain,
+    forest_of_chains,
+    random_poset,
+    wedge,
+)
 from poset_secretary.greedy import WeightRanking, greedy_maximum
 from poset_secretary.posets import Poset, from_relations
 from poset_secretary.simulate import Trial, run_strategy, tag_sequence
@@ -59,13 +66,36 @@ def top_down(p):
     return Poset(p.n, p.lt[::-1, ::-1].copy())
 
 
+def ordinal_sum(*parts):
+    """The posets stacked bottom to top: every element of one lies below
+    every element of each later one."""
+    n = sum(q.n for q in parts)
+    lt = np.zeros((n, n), dtype=bool)
+    lo = 0
+    for q in parts:
+        hi = lo + q.n
+        lt[lo:hi, lo:hi] = q.lt
+        lt[lo:hi, hi:] = True
+        lo = hi
+    return Poset(n, lt)
+
+
+def series_order(p, trial):
+    """The trial's elements part-major: p's blocks bottom to top, then its
+    posts, each lightest first with ties broken by index."""
+    blocks = [part for part in p.series_parts if len(part) > 1]
+    block_of = {x: i for i, part in enumerate(blocks) for x in part}
+    rank = trial.weight_rank()
+    return sorted(range(p.n), key=lambda x: (block_of.get(x, len(blocks)), rank[x]))
+
+
 def assert_matches_reference(p, times, weights):
     worder, tagged = batch_tag_matrix(p, times, weights)
     assert worder.dtype == np.uint8 and tagged.dtype == bool
     assert worder.shape == tagged.shape == times.shape
     for b in range(times.shape[0]):
         trial = Trial(times[b], weights[b])
-        assert worder[b].tolist() == np.argsort(trial.weight_rank()).tolist(), (p, b)
+        assert worder[b].tolist() == series_order(p, trial), (p, b)
         evs = tag_sequence(p, trial)
         assert [bool(tagged[b, e.element]) for e in evs] == [e.tagged for e in evs], (p, b)
 
@@ -226,8 +256,57 @@ class TestBitmaskKernel:
                 assert np.array_equal(got, want[lo:hi])
 
 
+# Posets of several series parts.  A post (an element comparable to every
+# other) passes test (a) outright, and test (a) runs only inside blocks
+# (parts of two or more elements).
+SERIES_POSETS = [
+    pytest.param(boolean_lattice(3), id="boolean3"),
+    pytest.param(ordinal_sum(antichain(2), chain(1), wedge(), chain(2), boolean_lattice(2)),
+                 id="posts-and-blocks"),
+    pytest.param(ordinal_sum(forest_of_chains([2, 3]), chain(3), random_poset(6, 0.3, seed=2)),
+                 id="forest-chain-random"),
+    pytest.param(random_poset(20, 0.5, seed=1), id="random20-two-blocks"),
+    pytest.param(random_poset(64, 0.5, seed=1), id="random64-posts-and-blocks"),
+]
+# every rank bit: 32 blocks and no post; and 31 blocks beside two posts
+BLOCKS_32 = ordinal_sum(*[antichain(2)] * 32)
+BLOCKS_31_POSTS = ordinal_sum(chain(1), *[antichain(2)] * 15, chain(1), *[antichain(2)] * 16)
+LABELLINGS = [
+    pytest.param(lambda p: p, id="natural"),
+    pytest.param(lambda p: relabelled(p, seed=p.n), id="relabelled"),
+    pytest.param(top_down, id="top-down"),
+]
+
+
+class TestSeriesParts:
+    @pytest.mark.parametrize("label", LABELLINGS)
+    @pytest.mark.parametrize("p", SERIES_POSETS)
+    def test_matches_per_trial_reference(self, p, label):
+        q = label(p)
+        assert len(q.series_parts) >= 2
+        assert_matches_reference(q, *batches(q.n, 60 if q.n > 20 else 200, seed=q.n + 3))
+
+    @pytest.mark.parametrize("label", LABELLINGS)
+    @pytest.mark.parametrize("p, posts", [pytest.param(BLOCKS_32, 0, id="32-blocks"),
+                                          pytest.param(BLOCKS_31_POSTS, 2, id="31-blocks-2-posts")])
+    def test_every_rank_bit(self, p, posts, label):
+        q = label(p)
+        sizes = [len(part) for part in q.series_parts]
+        assert q.n == SIM_CAP and sizes.count(1) == posts and len(sizes) - posts == 32 - posts // 2
+        assert_matches_reference(q, *batches(q.n, 25, seed=posts))
+
+
 class TestChunkTags:
-    @pytest.mark.parametrize("p", [POSETS[-1], relabelled(random_poset(64, 0.1, seed=3), seed=3)])
+    @pytest.mark.parametrize(
+        "p",
+        [
+            POSETS[-1],
+            relabelled(random_poset(64, 0.1, seed=3), seed=3),
+            relabelled(random_poset(20, 0.5, seed=1), seed=1),
+            top_down(BLOCKS_31_POSTS),
+            relabelled(BLOCKS_32, seed=2),
+        ],
+    )
     @pytest.mark.parametrize("rows", [CHUNK_TRIALS, 3 * _SUB_BATCH + 17, 5])
     def test_equals_the_kernel_on_the_whole_chunk_draw(self, p, rows):
         times, weights = chunk_uniforms(p.n, 8, 3, rows)
@@ -236,6 +315,8 @@ class TestChunkTags:
         assert [a.dtype for a in got] == [np.float64, np.uint8, np.uint8, bool]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+        for b in (0, rows // 2, rows - 1):
+            assert got[2][b].tolist() == series_order(p, Trial(times[b], weights[b]))
 
 
 class TestSimCap:

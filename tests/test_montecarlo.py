@@ -351,7 +351,30 @@ PINNED_SCAN_POSETS = [
     chain(64),
     antichain(64),
     random_poset(64, 0.1, seed=3),
+    # several series parts, the top one a block or a post
+    wedge(),
+    boolean_lattice(3),
+    random_poset(20, 0.5, seed=1),
+    Poset(20, random_poset(20, 0.5, seed=1).lt.T.copy()),
 ]
+
+
+def assert_quantised_pins_match(p, quantum, series):
+    """Every maximal pin's flags, scanned over the stable weight order or the
+    series order, against the full tag matrix, on times and weights quantised
+    to 1/quantum."""
+    rng = np.random.default_rng(p.n * quantum)
+    times = np.floor(rng.random((200, p.n)) * quantum) / quantum
+    weights = np.floor(rng.random((200, p.n)) * quantum) / quantum
+    if series:
+        worder = batch_tag_matrix(p, times, weights)[0]
+    else:
+        worder = np.argsort(weights, axis=1, kind="stable")
+    pins = [(x, t) for x in sorted(p.maximal) for t in (0.0, 0.25, 0.5, 1.0)]
+    got = _pinned_tags(up_masks(p), pins, times, worder)
+    assert got.shape == (len(pins), 200)
+    for (x, t), flags in zip(pins, got):
+        assert np.array_equal(flags, pinned_reference(p, x, t, times, weights)), (x, t)
 
 
 class TestPinnedScan:
@@ -360,15 +383,13 @@ class TestPinnedScan:
     def test_masked_scan_matches_full_tag_matrix(self, p, quantum):
         # times and weights on a grid of 1/quantum, so both kinds of tie occur;
         # every pin goes into one call, so pins at one t share a group
-        rng = np.random.default_rng(p.n * quantum)
-        times = np.floor(rng.random((200, p.n)) * quantum) / quantum
-        weights = np.floor(rng.random((200, p.n)) * quantum) / quantum
-        worder = np.argsort(weights, axis=1, kind="stable")
-        pins = [(x, t) for x in sorted(p.maximal) for t in (0.0, 0.25, 0.5, 1.0)]
-        got = _pinned_tags(up_masks(p), pins, times, worder)
-        assert got.shape == (len(pins), 200)
-        for (x, t), flags in zip(pins, got):
-            assert np.array_equal(flags, pinned_reference(p, x, t, times, weights)), (x, t)
+        assert_quantised_pins_match(p, quantum, series=False)
+
+    @pytest.mark.parametrize("p", PINNED_SCAN_POSETS)
+    @pytest.mark.parametrize("quantum", [4, 8])
+    def test_the_series_order_gives_the_same_flags(self, p, quantum):
+        # the kernel's series order, which chunk_tags hands to lemma 4
+        assert_quantised_pins_match(p, quantum, series=True)
 
     @pytest.mark.parametrize("p", PINNED_SCAN_POSETS)
     def test_philox_pins_at_one_t_share_one_scan(self, p, monkeypatch):

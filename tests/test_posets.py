@@ -108,6 +108,70 @@ class TestQueries:
         assert p.above_masks == (0b110, 0, 0)
 
 
+def antichain_sum(*sizes):
+    """Antichains of the given sizes stacked bottom to top, labelled upward."""
+    starts = np.cumsum((0,) + sizes)
+    return from_relations(int(starts[-1]), [
+        (a, b)
+        for lo, mid, hi in zip(starts, starts[1:], starts[2:])
+        for a in range(lo, mid)
+        for b in range(mid, hi)
+    ])
+
+
+def relabel(p, perm):
+    """p with element i renamed perm[i]."""
+    lt = np.zeros_like(p.lt)
+    lt[np.ix_(perm, perm)] = p.lt
+    return Poset(p.n, lt)
+
+
+class TestSeriesParts:
+    def test_chain_is_all_posts(self):
+        p = from_relations(4, [(2, 0), (0, 3), (3, 1)])
+        assert p.series_parts == ((2,), (0,), (3,), (1,))
+
+    def test_antichain_is_one_part(self):
+        assert from_relations(4, []).series_parts == ((0, 1, 2, 3),)
+
+    def test_boolean_lattice_and_wedge(self):
+        subsets = [(a, b) for a in range(8) for b in range(8) if a != b and a & b == a]
+        cube = from_relations(8, subsets)
+        assert cube.series_parts == ((0,), (1, 2, 3, 4, 5, 6), (7,))
+        assert from_relations(3, [(0, 1), (0, 2)]).series_parts == ((0,), (1, 2))
+
+    def test_ordinal_sum_of_antichains_and_its_relabelling(self):
+        p = antichain_sum(2, 1, 3, 1, 2)
+        want = ((0, 1), (2,), (3, 4, 5), (6,), (7, 8))
+        assert p.series_parts == want
+        perm = np.random.default_rng(5).permutation(p.n)
+        q = relabel(p, perm)
+        assert q.series_parts == tuple(tuple(sorted(int(perm[x]) for x in part)) for part in want)
+
+
+@given(relation_strategy(max_n=9), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_series_parts_are_the_ordinal_sum_decomposition(n_pairs, rnd):
+    n, pairs = n_pairs
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    p = relabel(from_relations(n, pairs), perm)
+    parts = p.series_parts
+    assert sorted(x for part in parts for x in part) == list(range(n))
+    assert all(list(part) == sorted(part) for part in parts)
+    for i, lower in enumerate(parts):
+        for upper in parts[i + 1:]:  # bottom to top, every pair across parts comparable
+            assert all(p.less(a, b) for a in lower for b in upper)
+        reached, frontier = {lower[0]}, [lower[0]]  # the part's incomparability graph is connected
+        while frontier:
+            a = frontier.pop()
+            for b in lower:
+                if b not in reached and not p.less(a, b) and not p.less(b, a):
+                    reached.add(b)
+                    frontier.append(b)
+        assert reached == set(lower)
+
+
 class TestSubposets:
     def test_restrict_chain(self):
         p = from_relations(4, [(0, 1), (1, 2), (2, 3)])
