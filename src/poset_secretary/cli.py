@@ -16,9 +16,10 @@ Worker count is deliberately not a parameter of the output: results are
 identical for any parallel layout.
 
 Exit codes: 0 ok / checks passed, 1 verification failure, 2 source parse
-error, 3 invalid parameter, 4 over the size cap of every command (n <= 64,
-one bit per element in the tag kernel).  A source over it is refused before
-its relation is built.
+error or a command line that argparse rejects (e.g. --trials 1e6, or
+exact-mu --workers 2), 3 invalid parameter, 4 over the size cap of every
+command (n <= 64, one bit per element in the tag kernel).  A source over it
+is refused before its relation is built.
 """
 
 from __future__ import annotations

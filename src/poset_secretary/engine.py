@@ -74,14 +74,23 @@ mask of the elements that pass, with no scatter back to element order.
 Rows are independent and are worked in sub-batches, which bounds the
 temporaries without changing any result.  Equivalence with the per-trial
 reference is pinned by tests.
+
+Two greedy scans live here.  The triangle gives each column its own
+member set, the arrivals its element has seen.  The bitmask scan
+(_passed_mask) has one member set per scan: batch_pinned_tags scans the
+arrivals before t once for every maximal element pinned there (lemma 4),
+which the triangle, needing one member set per column, cannot serve; and
+batch_greedy_maximum and chunk_greedy_counts scan every element, which
+walks the greedy chain itself.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import TooLargeError
-from .greedy import greedy_scan
 from .posets import Poset
 from .simulate import Trial
 
@@ -96,7 +105,10 @@ __all__ = [
     "batch_tag_matrix",
     "batch_accept",
     "batch_last_tag_time",
+    "tags_by_arrival",
+    "batch_pinned_tags",
     "batch_greedy_maximum",
+    "chunk_greedy_counts",
 ]
 
 # Canonical batch size. Fixed: changing it would change which trial sees
@@ -399,6 +411,120 @@ def batch_last_tag_time(times: np.ndarray, tagged: np.ndarray, t: float) -> np.n
     return last
 
 
+def tags_by_arrival(aorder: np.ndarray, tagged: np.ndarray) -> np.ndarray:
+    """tagged read in the arrival order aorder, as (n, rows): row k holds every
+    trial's k-th arrival.  One flat take, half the time of take_along_axis."""
+    return tagged.take(_columns(aorder)[1])
+
+
+def _passed_mask(bitw: np.ndarray, upw: np.ndarray, member: np.ndarray | None = None) -> np.ndarray:
+    """Bit e of row b: e's bit is in the running up-mask when the scan reaches e.
+
+    The bitmask greedy scan, over (n, rows) weight-order columns: bitw[w] and
+    upw[w] are the bit and the up-mask of each row's w-th element.  The state
+    is the up-mask of the running greedy element of the members scanned so
+    far, all-ones while none is taken; a member whose bit is in the state
+    takes over.  member None makes every element a member.
+    """
+    state = np.full(bitw.shape[1], np.iinfo(bitw.dtype).max, dtype=bitw.dtype)
+    passed = np.zeros_like(state)
+    hit = np.empty_like(state)
+    go = np.empty(state.shape, dtype=bool)
+    for w in range(len(bitw)):
+        np.bitwise_and(state, bitw[w], out=hit)
+        passed |= hit
+        np.not_equal(hit, 0, out=go)
+        if member is not None:
+            go &= member[w]
+        # state = where(go, upw[w], state), branch-free as in the tag kernel
+        np.bitwise_xor(state, upw[w], out=hit)
+        hit *= go
+        state ^= hit
+    return passed
+
+
+def batch_pinned_tags(
+    p: Poset, pins: Sequence[tuple[int, float]], times: np.ndarray, worder: np.ndarray
+) -> np.ndarray:
+    """Per pin (x, t) and row: is x tagged when its arrival time is replaced by t?
+
+    Row i of the (len(pins), rows) result belongs to pins[i]; every x must be
+    maximal.  Then (b) holds, and a greedy chain that reaches x ends there,
+    so x is tagged iff its bit is in the running up-mask when the bitmask
+    scan reaches x, the members being x and every y with time_y < t, or
+    time_y == t and y < x (the stable arrival sort's tie rule).  x's own
+    membership matters only from its step on, so with no time equal to t
+    one scan of {y : time_y < t} serves every pin at t; a time equal to t
+    (quantised inputs) gives each pin at that t its own scan.
+
+    worder may be the stable weight order or chunk_tags' series order, with
+    the same flags: every maximal element lies in the top series part T,
+    and before x either order lists only lower parts and T's members
+    lighter than x, in weight order.  The scan's first take in T lies above
+    all it took before, and it never leaves T, so at x it holds the greedy
+    maximum of T's lighter members, or of lower parts only, in both orders.
+    """
+    up = _kernel_tables(p)[1]
+    out = np.empty((len(pins), times.shape[0]), dtype=bool)
+    for lo in range(0, times.shape[0], _SUB_BATCH):
+        rows = slice(lo, lo + _SUB_BATCH)
+        _pinned_sub_batch(up, pins, times[rows], worder[rows], out[:, rows])
+    return out
+
+
+def _pinned_sub_batch(up, pins, times, worder, out) -> None:
+    """batch_pinned_tags of one sub-batch into out, up holding p's up-masks."""
+    dtype = up.dtype.type
+    wo, at = _columns(worder)
+    timew = times.take(at)
+    del at  # freed for the scan tables: a whole chunk's flags are held meanwhile
+    upw = up.take(wo)
+    bitw = wo.astype(dtype)
+    np.left_shift(dtype(1), bitw, out=bitw)
+    for t in dict.fromkeys(t for _, t in pins):
+        member = timew < t
+        shared = None if (times == t).any() else _passed_mask(bitw, upw, member)
+        for i, (x, s) in enumerate(pins):
+            if s != t:
+                continue
+            passed = shared
+            if passed is None:  # the tie rule makes the member set depend on x
+                passed = _passed_mask(bitw, upw, member | ((timew == t) & (wo < x)))
+            out[i] = (passed & (dtype(1) << dtype(x))) != 0
+
+
 def batch_greedy_maximum(lt: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Greedy maximum of the full poset for a batch of weight vectors."""
-    return greedy_scan(lt, _stable_argsort(weights))
+    """Greedy maximum of the poset with strict order lt, per row of weights.
+
+    Equal weights go to the lowest index.  Raises TooLargeError when n
+    exceeds SIM_CAP.
+    """
+    return _greedy_maxima(Poset(len(lt), lt), _stable_argsort(weights).astype(np.uint8))
+
+
+def chunk_greedy_counts(p: Poset, master_seed: int, chunk_index: int, rows: int) -> np.ndarray:
+    """Per-element counts of batch_greedy_maximum over one canonical chunk's
+    weights, drawn one sub-batch at a time: the chunk keeps only its order."""
+    worder = np.empty((rows, p.n), dtype=np.uint8)
+    for lo, _, keys in _chunk_pieces(p.n, master_seed, chunk_index, rows):
+        worder[lo:lo + len(keys)] = _key_order(keys[:, p.n:])
+    return np.bincount(_greedy_maxima(p, worder), minlength=p.n)
+
+
+def _greedy_maxima(p: Poset, worder: np.ndarray) -> np.ndarray:
+    """Each row's greedy maximum, from its uint8 stable weight order.
+
+    With every element a member, the bitmask scan passes exactly the greedy
+    chain, whose one maximal bit ends it: a power of two, which float64
+    holds exactly, so frexp reads its index.
+    """
+    bits, up = _kernel_tables(p)[:2]
+    dtype = up.dtype.type
+    maxima = np.bitwise_or.reduce(bits[p.is_maximal])
+    out = np.empty(worder.shape[0], dtype=np.intp)
+    for lo in range(0, worder.shape[0], _SUB_BATCH):
+        rows = slice(lo, lo + _SUB_BATCH)
+        wo = np.ascontiguousarray(worder[rows].T)
+        passed = _passed_mask(np.left_shift(dtype(1), wo, dtype=dtype), up.take(wo))
+        out[rows] = np.frexp((passed & maxima).astype(np.float64))[1] - 1
+    return out

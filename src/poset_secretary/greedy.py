@@ -23,6 +23,10 @@ integration in exact rationals: O(n^3) operations in all.  A maximal x ends
 the chain whenever it is visited, so mu(x) is the integral of f_x over
 [0, 1], and mu_t(x) is (1/t) times its integral over [0, t], with
 f_x(0) = 1 at t = 0.
+
+greedy_chain is the per-trial reference.  The vectorised greedy scans live
+in engine, beside the tag kernel: its triangle, and the bitmask scan behind
+batch_greedy_maximum and lemma 4's pinned check.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ __all__ = [
     "MuTable",
     "greedy_chain",
     "greedy_maximum",
-    "greedy_scan",
     "is_tagged",
     "mu_exact",
     "mu_t_exact",
@@ -161,24 +164,6 @@ def is_tagged(p_x: Poset, x_local: int, w: WeightRanking) -> bool:
     (including x); ``x_local`` names x inside it.
     """
     return greedy_maximum(p_x, w) == x_local
-
-
-def greedy_scan(lt: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Greedy maximum per row of a (rows, n) weight order, lightest first.
-
-    One lockstep scan over the order: the running element jumps to the next
-    element that lies strictly above it.  That walks the greedy chain,
-    because chain weights strictly increase.
-    """
-    n = lt.shape[0]
-    # row n is a virtual bottom below every element, so the lightest element
-    # always takes over; flat indices are much faster than 2-D ones
-    above = np.vstack([lt, np.ones((1, n), dtype=bool)]).ravel()
-    cols = np.ascontiguousarray(order.T)
-    z = np.full(cols.shape[1], n, dtype=np.intp)
-    for w in range(n):
-        z = np.where(above[z * n + cols[w]], cols[w], z)
-    return z
 
 
 def _antiderivative(c: list[Fraction]) -> list[Fraction]:

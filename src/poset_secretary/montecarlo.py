@@ -14,13 +14,16 @@ stable arrival and weight orders and the element-major tag flags.  No
 reducer reads the weights, which live one sub-batch at a time.  Acceptance
 and last-tag times read tagged elements' times directly; only the lemma-2
 checks, which count by arrival position, read the flags in the arrival order
-the kernel sorted.  Lemma 4's pinned check reads no tag flags: one bitmask
-scan over the kernel's series order per pinned time serves every maximal
-element (see _pinned_tags), one sub-batch of the chunk at a time.  Every
-estimate and check is a (reducer, report) pair run by _run_checks:
-verify_lemmas runs all requested checks over one pass and at most one
-process pool, and each per-lemma function and threshold_sweep run the same
-code path with their own.
+the kernel sorted (engine.tags_by_arrival).  Lemma 4's pinned check reads
+no tag flags: engine.batch_pinned_tags runs one bitmask scan over the
+kernel's series order per pinned time, shared by every maximal element.
+empirical_greedy_max runs no tag pass: engine.chunk_greedy_counts draws a
+chunk's weights alone and runs the same bitmask scan with every element a
+member.  Every scan lives in engine, and this module calls only its public
+names.  Every estimate and check is a (reducer, report) pair run by
+_run_checks: verify_lemmas runs all requested checks over one pass and at
+most one process pool, and each per-lemma function and threshold_sweep run
+the same code path with their own.
 
 P-values come from pvalues: the exact two-sided binomial test for each tag
 marginal, Pearson's chi-square for pairwise independence and the joint
@@ -51,7 +54,7 @@ import numpy as np
 
 from . import engine, pvalues
 from .errors import NotMaximalError, TooLargeError, ZeroTrialsError
-from .greedy import MuTable, check_mu_monotonicity, greedy_scan, mu_exact
+from .greedy import MuTable, check_mu_monotonicity, mu_exact
 from .posets import Poset
 from .simulate import TAU_DEFAULT
 
@@ -127,7 +130,11 @@ class LemmaReport:
 def wilson_interval(
     successes: int, trials: int, confidence: float = CONFIDENCE_DEFAULT
 ) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    Clamped to [0, p_hat] and [p_hat, 1]: at successes 0 or trials the exact
+    endpoint is p_hat itself, which the rounded formula can miss by an ulp.
+    """
     if trials < 1:
         raise ZeroTrialsError("need at least one trial")
     if not 0 <= successes <= trials:
@@ -140,7 +147,7 @@ def wilson_interval(
     denom = 1.0 + z2 / trials
     center = (p_hat + z2 / (2.0 * trials)) / denom
     half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    return min(max(0.0, center - half), p_hat), max(min(1.0, center + half), p_hat)
 
 
 # -- chunked drivers ---------------------------------------------------------
@@ -215,18 +222,10 @@ def _run_checks(
     return reports
 
 
-def _greedy_count_chunk(p: Poset, master_seed: int, chunk: int, rows: int) -> np.ndarray:
-    """Greedy-maximum counts of one canonical chunk, drawn one sub-batch at a time."""
-    counts = np.zeros(p.n, dtype=np.int64)
-    for _, _, keys in engine._chunk_pieces(p.n, master_seed, chunk, rows):
-        counts += np.bincount(greedy_scan(p.lt, engine._key_order(keys[:, p.n:])), minlength=p.n)
-    return counts
-
-
 # -- reducers: (times, aorder, worder, tagged) of one chunk -> tally -----------
 # tagged is element-major (see engine.batch_tag_matrix); only the lemma-2
-# reducers, which count by arrival position, read it in arrival order, one
-# flat take through engine._columns(aorder) into (n, rows).
+# reducers, which count by arrival position, read it in arrival order
+# (engine.tags_by_arrival), and lemma 4's reads (times, worder) alone.
 # Module-level functions bound with partial, so they pickle for the pool.
 
 
@@ -240,13 +239,13 @@ def _success_counts(is_maximal, taus, times, aorder, worder, tagged) -> np.ndarr
 
 def _tag_pair_counts(times, aorder, worder, tagged) -> np.ndarray:
     # float64 runs on BLAS and is exact: a chunk's counts stay far below 2^53
-    flags = tagged.take(engine._columns(aorder)[1]).astype(np.float64)
+    flags = engine.tags_by_arrival(aorder, tagged).astype(np.float64)
     return (flags @ flags.T).astype(np.int64)
 
 
 def _tag_pattern_counts(times, aorder, worder, tagged) -> np.ndarray:
     n = tagged.shape[1]
-    codes = (1 << np.arange(n, dtype=np.int64)) @ tagged.take(engine._columns(aorder)[1])
+    codes = (1 << np.arange(n, dtype=np.int64)) @ engine.tags_by_arrival(aorder, tagged)
     return np.bincount(codes, minlength=1 << n)
 
 
@@ -255,97 +254,8 @@ def _last_tag_values(t, times, aorder, worder, tagged) -> np.ndarray:
     return vals[~np.isnan(vals)]
 
 
-# Lemma 4's pinned check reads only (times, worder).  Pinned at t, a maximal x
-# is tagged iff it is the greedy maximum of M: itself and the elements that
-# arrive before t, ties at t going to lower indices.  Test (b) of the tag
-# kernel holds trivially, as nothing lies above x, and a greedy chain that
-# reaches a maximal x ends there.  So x is tagged iff its bit is in the
-# up-mask of M's running greedy element when a weight-order scan of M
-# reaches x; the kernel's series order serves as well (see _pinned_tags).
-# Whether x itself is a member matters only from that step on, so with no
-# time equal to t, every x at t scans the same members
-# {y : time_y < t}: one scan serves every pin at t, each read at its own
-# step.  A time equal to t (quantised inputs; a Philox draw is one with
-# probability 2^-53) brings in the tie rule, and then each pin at that t
-# gets its own scan.
-
-
-def _passed_mask(bitw: np.ndarray, upw: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Bit e of row b: e's bit is in the running up-mask when the scan reaches e.
-
-    A lockstep scan over (n, rows) weight-order columns: bitw[w] and upw[w]
-    are the bit and the up-mask of each row's w-th lightest element.  The
-    state is the up-mask of the running greedy element of the members
-    scanned so far, all-ones while none is taken; a member whose bit is in
-    the state takes over.
-    """
-    state = np.full(bitw.shape[1], np.iinfo(bitw.dtype).max, dtype=bitw.dtype)
-    passed = np.zeros_like(state)
-    hit = np.empty_like(state)
-    go = np.empty(state.shape, dtype=bool)
-    for w in range(len(bitw)):
-        np.bitwise_and(state, bitw[w], out=hit)
-        passed |= hit
-        np.not_equal(hit, 0, out=go)
-        go &= member[w]
-        # state = where(go, upw[w], state), branch-free as in the tag kernel
-        np.bitwise_xor(state, upw[w], out=hit)
-        hit *= go
-        state ^= hit
-    return passed
-
-
-def _pinned_tags(
-    up_masks: np.ndarray,
-    pins: Sequence[tuple[int, float]],
-    times: np.ndarray,
-    worder: np.ndarray,
-) -> np.ndarray:
-    """Per pin (x, t) and row: is x tagged when its arrival time is replaced by t?
-
-    Row i of the (len(pins), rows) result belongs to pins[i].  x is tagged
-    iff it is the greedy maximum of itself and every y with time_y < t, or
-    time_y == t and y < x (the stable arrival sort's tie rule), taken in the
-    row's weight order; every x must be maximal.  up_masks holds each
-    element's up-mask in engine's mask dtype.
-
-    ``worder`` may be the stable weight order or the series order that
-    engine.chunk_tags returns: both give the same flags, ties at t included.
-    Every maximal element lies in the top series part T, and before a
-    member x of T either order lists only elements of lower parts and, in
-    weight order, the members of T lighter than x.  When the scan reaches
-    x, its running greedy element is the greedy maximum of T's lighter
-    members if there are any (it takes the first one it meets, as T lies
-    above every other part, and never leaves T), and otherwise lies below x
-    or is not yet taken.  If T is a post, x lies above every other element
-    and passes in either order.
-    """
-    dtype = up_masks.dtype.type
-    wo, at = engine._columns(worder)
-    bitw = np.left_shift(dtype(1), wo.astype(dtype))
-    upw = up_masks.take(wo)
-    timew = times.take(at)
-    out = np.empty((len(pins), times.shape[0]), dtype=bool)
-    for t in dict.fromkeys(t for _, t in pins):
-        member = timew < t
-        shared = None if (times == t).any() else _passed_mask(bitw, upw, member)
-        for i, (x, s) in enumerate(pins):
-            if s != t:
-                continue
-            passed = shared
-            if passed is None:  # the tie rule makes the member set depend on x
-                passed = _passed_mask(bitw, upw, member | ((timew == t) & (wo < x)))
-            out[i] = (passed & (dtype(1) << dtype(x))) != 0
-    return out
-
-
-def _pinned_hits(up_masks, pins, times, aorder, worder, tagged) -> np.ndarray:
-    # one sub-batch at a time, so the scan's (n, rows) arrays stay small at any n
-    hits = np.zeros(len(pins), dtype=np.int64)
-    for lo in range(0, times.shape[0], engine._SUB_BATCH):
-        rows = slice(lo, lo + engine._SUB_BATCH)
-        hits += np.count_nonzero(_pinned_tags(up_masks, pins, times[rows], worder[rows]), axis=1)
-    return hits
+def _pinned_hits(p, pins, times, aorder, worder, tagged) -> np.ndarray:
+    return np.count_nonzero(engine.batch_pinned_tags(p, pins, times, worder), axis=1)
 
 
 # -- estimation ---------------------------------------------------------------
@@ -400,7 +310,8 @@ def empirical_greedy_max(
     p: Poset, samples: int, master_seed: int = 0, workers: int | None = None
 ) -> np.ndarray:
     """Per-element counts of being the greedy maximum under random weights."""
-    tallies = _run_chunks(partial(_greedy_count_chunk, p, master_seed), samples, workers)
+    engine.check_sim_cap(p.n)
+    tallies = _run_chunks(partial(engine.chunk_greedy_counts, p, master_seed), samples, workers)
     return np.sum(tallies, axis=0)
 
 
@@ -463,26 +374,15 @@ def _independence_check(p: Poset, trials: int, alpha: float) -> tuple:
             for k in range(j + 1, p.n + 1):
                 a, b = int(marg[j - 1]), int(marg[k - 1])
                 both = int(joint[j - 1, k - 1])
+                name = f"tag_independence[j={j},k={k}]"
                 if a in (0, trials) or b in (0, trials):
-                    reports.append(
-                        LemmaReport(
-                            statistic=f"tag_independence[j={j},k={k}]",
-                            observed=0.0,
-                            reference="degenerate: constant indicator",
-                            p_value=None,
-                            passed=True,
-                            sample_size=trials,
-                        )
-                    )
+                    ref = "degenerate: constant indicator"
+                    reports.append(LemmaReport(name, 0.0, ref, None, True, trials))
                     continue
-                table = np.array(
-                    [[both, a - both], [b - both, trials - a - b + both]], dtype=np.int64
-                )
-                chi2, pval = pvalues.chi2_2x2(table)
-                reports.append(
-                    _tested(f"tag_independence[j={j},k={k}]", chi2,
-                            "chi2(df=1) under independence", pval, alpha, trials)
-                )
+                table = [[both, a - both], [b - both, trials - a - b + both]]
+                chi2, pval = pvalues.chi2_2x2(np.array(table, dtype=np.int64))
+                ref = "chi2(df=1) under independence"
+                reports.append(_tested(name, chi2, ref, pval, alpha, trials))
         return reports
 
     return _tag_pair_counts, report
@@ -533,16 +433,9 @@ def verify_tag_joint(
             passed = impossible_hits == 0
             return [LemmaReport("tag_joint", 0.0, "exact product law", None, passed, trials)]
         chi2, pval = pvalues.chi2_gof(pattern[possible], prob[possible] * trials)
-        return [
-            LemmaReport(
-                statistic="tag_joint",
-                observed=chi2,
-                reference=f"chi2(df={int(possible.sum()) - 1}) under the product law",
-                p_value=pval,
-                passed=impossible_hits == 0 and pval >= alpha,
-                sample_size=trials,
-            )
-        ]
+        ref = f"chi2(df={int(possible.sum()) - 1}) under the product law"
+        passed = impossible_hits == 0 and pval >= alpha
+        return [LemmaReport("tag_joint", chi2, ref, pval, passed, trials)]
 
     return _run_checks(p, [(_tag_pattern_counts, report)], trials, master_seed, workers)[0]
 
@@ -585,7 +478,7 @@ def _pinned_check(
 ) -> tuple:
     """Lemma 4's check; its report reads every mu_t from table, built here
     once the pins are valid when the caller passes none."""
-    up_masks = engine._kernel_tables(p)[1]
+    engine.check_sim_cap(p.n)
     for x, t in pins:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must lie in [0, 1], got {t}")
@@ -601,20 +494,12 @@ def _pinned_check(
         for (x, t), hits in zip(pins, np.sum(tallies, axis=0)):
             mu = float(table.mu_t(x, Fraction(t)))
             freq = int(hits) / trials
-            se = math.sqrt(mu * (1.0 - mu) / trials)
-            reports.append(
-                LemmaReport(
-                    statistic=f"tagged_given_arrival[x={x},t={t!r}]",
-                    observed=freq,
-                    reference=mu,
-                    p_value=None,
-                    passed=abs(freq - mu) <= 4.0 * se,
-                    sample_size=trials,
-                )
-            )
+            passed = abs(freq - mu) <= 4.0 * math.sqrt(mu * (1.0 - mu) / trials)
+            name = f"tagged_given_arrival[x={x},t={t!r}]"
+            reports.append(LemmaReport(name, freq, mu, None, passed, trials))
         return reports
 
-    return partial(_pinned_hits, up_masks, pins), report
+    return partial(_pinned_hits, p, pins), report
 
 
 def verify_tagged_given_arrival(
@@ -669,14 +554,7 @@ def verify_lemmas(
     reports = _run_checks(p, checks, trials, master_seed, workers)
     if "5" in lemmas:
         mono = check_mu_monotonicity(table, MONOTONICITY_GRID)
-        reports.append(
-            LemmaReport(
-                statistic="mu_monotonicity",
-                observed=float(len(mono.violations)),
-                reference="mu_t(x) >= mu(x) at every grid point",
-                p_value=None,
-                passed=mono.ok,
-                sample_size=mono.checks,
-            )
-        )
+        ref = "mu_t(x) >= mu(x) at every grid point"
+        violations = float(len(mono.violations))
+        reports.append(LemmaReport("mu_monotonicity", violations, ref, None, mono.ok, mono.checks))
     return reports

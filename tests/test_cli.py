@@ -59,6 +59,12 @@ class TestSimulate:
                         "--trials", "1000", "--seed", "7", "--format", "csv")
         assert sim == swp
 
+    @pytest.mark.parametrize("tau,trials,bound", [("0", "4", "ci_high"), ("0.9999999", "9", "ci_low")])
+    def test_all_or_no_successes_report_the_exact_wilson_endpoint(self, run, tau, trials, bound):
+        code, out, _ = run("simulate", "chain:1", "--tau", tau, "--trials", trials)
+        res = json.loads(out)["results"]
+        assert code == 0 and res[bound] == res["p_hat"] in (0.0, 1.0)
+
     def test_tau_out_of_range_is_exit_3(self, run):
         code, _, err = run("simulate", "wedge", "--tau", "1.5")
         assert code == 3 and "tau" in err
@@ -151,7 +157,7 @@ class TestExactMu:
         assert run("exact-mu", "wedge", "--t", "3/2")[0] == 3
 
 
-def _members_ignore_t(bitw, upw, member, _scan=montecarlo._passed_mask):
+def _members_ignore_t(bitw, upw, member, _scan=engine._passed_mask):
     """Pinned-scan mutant: every element is a member, whatever its arrival time."""
     return _scan(bitw, upw, np.ones_like(member))
 
@@ -228,7 +234,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("mutant", [_members_ignore_t, _read_after_order])
     def test_lemma_4_fails_a_wrong_pinned_scan(self, run, monkeypatch, mutant):
-        monkeypatch.setattr(montecarlo, "_passed_mask", mutant)
+        monkeypatch.setattr(engine, "_passed_mask", mutant)
         code, out, _ = run(*self.PINNED)
         assert code == 1 and json.loads(out)["results"]["failures"] > 0
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poset_secretary import greedy
+from poset_secretary.engine import batch_greedy_maximum
 from poset_secretary.errors import NotMaximalError
 from poset_secretary.families import (
     antichain,
@@ -32,7 +33,6 @@ from poset_secretary.greedy import (
     check_mu_monotonicity,
     greedy_chain,
     greedy_maximum,
-    greedy_scan,
     is_tagged,
     mu_exact,
     mu_t_exact,
@@ -330,11 +330,12 @@ def test_single_scan_equals_recursion(p, rnd):
 
 @pytest.mark.parametrize("p", small_posets())
 def test_greedy_scan_matches_recursion_on_members(p):
-    """The lockstep scan against the recursion on the full poset, row by row."""
+    """The bitmask greedy scan (through batch_greedy_maximum, every element a
+    member) against the recursion on the full poset, row by row."""
     rng = np.random.default_rng(p.n)
     order = np.array([rng.permutation(p.n) for _ in range(200)])
     rank = np.argsort(order, axis=1)
-    full = greedy_scan(p.lt, order)
+    full = batch_greedy_maximum(p.lt, rank.astype(float))
     for b in range(200):
         assert full[b] == greedy_maximum(p, WeightRanking(tuple(rank[b])))
 

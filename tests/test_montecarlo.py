@@ -18,13 +18,12 @@ from poset_secretary import engine, greedy, montecarlo
 from poset_secretary.engine import CHUNK_TRIALS, SIM_CAP, batch_tag_matrix
 from poset_secretary.errors import NotMaximalError, TooLargeError, ZeroTrialsError
 from poset_secretary.families import antichain, boolean_lattice, chain, random_poset, wedge
-from poset_secretary.greedy import mu_exact
+from poset_secretary.greedy import WeightRanking, greedy_maximum, mu_exact
 from poset_secretary.montecarlo import (
     LAST_TAG_TIMES,
     LEMMAS,
     PINNED_TIMES,
     Estimate,
-    _pinned_tags,
     _run_chunks,
     empirical_greedy_max,
     estimate_success,
@@ -79,6 +78,13 @@ class TestWilson:
         assert low == 0.0 and 0 < high < 0.2
         low, high = wilson_interval(50, 50)
         assert 0.8 < low < 1 and high == 1.0
+        # the rounded formula misses these endpoints by an ulp, unclamped
+        for successes, trials in [(0, 4), (4, 4), (7, 7), (0, 9)]:
+            low, high = wilson_interval(successes, trials)
+            p_hat = successes / trials
+            assert 0.0 <= low <= p_hat <= high <= 1.0
+            assert (low, high)[successes == trials] == p_hat
+            Estimate(successes, trials, p_hat, low, high, 0, 0.5)
 
     def test_widens_with_confidence(self):
         l1, h1 = wilson_interval(500, 1000, confidence=0.9)
@@ -198,12 +204,27 @@ class TestGreedyMaxSampling:
         b = empirical_greedy_max(p, 30_000, master_seed=1, workers=3)
         assert np.array_equal(a, b)
 
+    def test_over_the_size_cap_is_refused_before_any_draw(self, monkeypatch):
+        # the order keys hold 6 index bits: a larger poset would be miscounted
+        def no_draws(*args):
+            raise AssertionError("drew a chunk for a poset over the size cap")
+
+        monkeypatch.setattr(engine, "_philox", no_draws)
+        with pytest.raises(TooLargeError):
+            empirical_greedy_max(chain(SIM_CAP + 1), 1000)
+
     def test_chunk_counts_equal_the_stable_order_of_the_chunk_draw(self):
-        p = random_poset(12, 0.3, seed=4)
+        # at n = 64 the greedy maximum is read out of a uint64 mask, and a
+        # chain's is always its top element, bit 63
         rows = 2 * engine._SUB_BATCH + 5
-        _, weights = engine.chunk_uniforms(p.n, 6, 1, rows)
-        want = np.bincount(engine.batch_greedy_maximum(p.lt, weights), minlength=p.n)
-        assert np.array_equal(montecarlo._greedy_count_chunk(p, 6, 1, rows), want)
+        for p in (random_poset(12, 0.3, seed=4), random_poset(64, 0.1, seed=3), chain(64)):
+            _, weights = engine.chunk_uniforms(p.n, 6, 1, rows)
+            got = engine.batch_greedy_maximum(p.lt, weights)
+            for b in range(0, rows, 41):
+                assert got[b] == greedy_maximum(p, WeightRanking.from_weights(weights[b]))
+            want = np.bincount(got, minlength=p.n)
+            assert np.array_equal(engine.chunk_greedy_counts(p, 6, 1, rows), want)
+        assert want[63] == rows
 
 
 class TestMarginals:
@@ -335,10 +356,6 @@ def pinned_reference(p, x, t, times, weights):
     return tagged[:, x]
 
 
-def up_masks(p):
-    return np.array(p.above_masks, dtype=engine._mask_dtype(p.n))
-
-
 PINNED_SCAN_POSETS = [
     chain(1),
     chain(8),
@@ -371,7 +388,7 @@ def assert_quantised_pins_match(p, quantum, series):
     else:
         worder = np.argsort(weights, axis=1, kind="stable")
     pins = [(x, t) for x in sorted(p.maximal) for t in (0.0, 0.25, 0.5, 1.0)]
-    got = _pinned_tags(up_masks(p), pins, times, worder)
+    got = engine.batch_pinned_tags(p, pins, times, worder)
     assert got.shape == (len(pins), 200)
     for (x, t), flags in zip(pins, got):
         assert np.array_equal(flags, pinned_reference(p, x, t, times, weights)), (x, t)
@@ -395,15 +412,15 @@ class TestPinnedScan:
     def test_philox_pins_at_one_t_share_one_scan(self, p, monkeypatch):
         scans = []
 
-        def counted(bitw, upw, member, _scan=montecarlo._passed_mask):
+        def counted(bitw, upw, member, _scan=engine._passed_mask):
             scans.append(member)
             return _scan(bitw, upw, member)
 
-        monkeypatch.setattr(montecarlo, "_passed_mask", counted)
+        monkeypatch.setattr(engine, "_passed_mask", counted)
         times, weights = engine.chunk_uniforms(p.n, 17, 0, 500)
         worder, _ = batch_tag_matrix(p, times, weights)
         pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
-        got = _pinned_tags(up_masks(p), pins, times, worder)
+        got = engine.batch_pinned_tags(p, pins, times, worder)
         assert len(scans) == len(PINNED_TIMES)
         for (x, t), flags in zip(pins, got):
             assert np.array_equal(flags, pinned_reference(p, x, t, times, weights)), (x, t)
@@ -468,7 +485,7 @@ class TestChunkFootprint:
         pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
         reducers = (
             partial(montecarlo._success_counts, p.is_maximal, (0.3679,)),
-            partial(montecarlo._pinned_hits, up_masks(p), pins),
+            partial(montecarlo._pinned_hits, p, pins),
         )
         tracemalloc.start()
         try:
@@ -483,7 +500,7 @@ class TestChunkFootprint:
         def peak(rows):
             tracemalloc.start()
             try:
-                montecarlo._greedy_count_chunk(chain(20), 0, 0, rows)
+                engine.chunk_greedy_counts(chain(20), 0, 0, rows)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
