@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import sys
 from fractions import Fraction
@@ -118,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt",
                         help="report format (default json)")
         if monte_carlo:
-            sp.add_argument("--workers", type=int, default=None,
-                            help="parallel workers (default: $POSET_SECRETARY_WORKERS or 1); results do not depend on it")
+            sp.add_argument("--workers", type=int, default=1,
+                            help="parallel workers (default 1); results do not depend on it")
 
     sp = sub.add_parser("simulate", help="estimate the strategy's success probability")
     common(sp)
@@ -161,13 +162,20 @@ def _cmd_simulate(args):
 
 def _cmd_exact_mu(args):
     p = _load_poset(args.source)
-    table = mu_exact(p)
-    t = None
+    t = t_text = None
     if args.t is not None:
         try:
+            # Fraction builds 10^|e| for an exponent e, which str() could not
+            # print past Python's default digit limit: refuse e before the build
+            limit = sys.int_info.default_max_str_digits
+            exp = re.search(r"e([-+]?[\d_]+)\s*$", args.t, re.IGNORECASE)
+            if exp and abs(int(exp[1])) > limit:
+                raise ValueError(f"its exponent is past {limit} in magnitude")
             t = Fraction(args.t)
+            t_text = str(t)  # the report's params print t
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"--t must be a rational like 1/2 or 0.5: {exc}") from exc
+    table = mu_exact(p)
     rows = []
     for x in range(p.n):
         row = {"element": x, "mu": str(table[x])}
@@ -175,7 +183,7 @@ def _cmd_exact_mu(args):
             row["mu_t"] = str(table.mu_t(x, t))
         rows.append(row)
     columns = ["element", "mu"] if t is None else ["element", "mu", "mu_t"]
-    params = {"source": args.source, "t": None if t is None else str(t), "seed": args.seed}
+    params = {"source": args.source, "t": t_text, "seed": args.seed}
     table = _csv(columns, ([row.get(c) for c in columns] for row in rows))
     return EXIT_OK, params, {"n": p.n, "mu": rows}, table
 

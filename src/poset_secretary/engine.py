@@ -92,7 +92,6 @@ import numpy as np
 
 from .errors import TooLargeError
 from .posets import Poset
-from .simulate import Trial
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -101,7 +100,6 @@ __all__ = [
     "chunk_layout",
     "chunk_uniforms",
     "chunk_tags",
-    "trial_for_index",
     "batch_tag_matrix",
     "batch_accept",
     "batch_last_tag_time",
@@ -193,15 +191,6 @@ def _chunk_pieces(
         words <<= _INDEX_BITS
         words |= tail
         yield lo, times, words
-
-
-def trial_for_index(n: int, master_seed: int, trial_index: int) -> Trial:
-    """The exact Trial the batched harness uses for one trial index."""
-    if trial_index < 0:
-        raise ValueError("trial_index must be nonnegative")
-    chunk, row = divmod(trial_index, CHUNK_TRIALS)
-    times, weights = chunk_uniforms(n, master_seed, chunk, row + 1)
-    return Trial(times[row], weights[row])
 
 
 def _stable_argsort(a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import SIM_CAP
+from .engine import SIM_CAP, check_sim_cap
 from .errors import GeneratorSpecError, TooLargeError
 from .posets import Poset, from_relations
 
@@ -52,10 +52,14 @@ def wedge() -> Poset:
 
 
 def boolean_lattice(k: int) -> Poset:
-    """Subsets of a k-set ordered by strict inclusion (element id = bitmask)."""
-    if not 1 <= k <= 4:
-        raise ValueError(f"boolean_lattice needs 1 <= k <= 4, got {k}")
-    n = 1 << k
+    """Subsets of a k-set ordered by strict inclusion (element id = bitmask).
+
+    Takes every k >= 1 with 2^k <= SIM_CAP; past it raises TooLargeError.
+    """
+    if k < 1:
+        raise ValueError(f"boolean_lattice needs k >= 1, got {k}")
+    n = _boolean_size(k)
+    check_sim_cap(n)
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b and a & b == a]
     return from_relations(n, pairs)
 

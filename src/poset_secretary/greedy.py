@@ -78,11 +78,6 @@ class WeightRanking:
         rank[order] = np.arange(len(w))
         return cls(tuple(int(r) for r in rank))
 
-    def lightest_first(self) -> tuple[int, ...]:
-        """Elements sorted by increasing weight."""
-        order = sorted(range(self.n), key=lambda i: self.rank[i])
-        return tuple(order)
-
 
 @dataclass(frozen=True)
 class GreedyChain:
@@ -222,8 +217,6 @@ def mu_t_exact(p: Poset, x: int, t) -> Fraction:
 class MonotonicityReport:
     """Outcome of the exact mu_t >= mu sweep over a t-grid."""
 
-    poset_size: int
-    grid: tuple[Fraction, ...]
     checks: int
     violations: tuple[tuple[int, Fraction, Fraction, Fraction], ...]
 
@@ -248,4 +241,4 @@ def check_mu_monotonicity(table: MuTable, grid) -> MonotonicityReport:
             checks += 1
             if val < table[x]:
                 violations.append((x, t, val, table[x]))
-    return MonotonicityReport(len(table), grid, checks, tuple(violations))
+    return MonotonicityReport(checks, tuple(violations))

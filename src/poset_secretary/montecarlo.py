@@ -62,7 +62,6 @@ __all__ = [
     "CONFIDENCE_DEFAULT",
     "ALPHA_DEFAULT",
     "TRIALS_DEFAULT",
-    "WORKERS_ENV",
     "LEMMAS",
     "LAST_TAG_TIMES",
     "PINNED_TIMES",
@@ -85,7 +84,6 @@ CONFIDENCE_DEFAULT = 0.99
 ALPHA_DEFAULT = 0.001
 TRIALS_DEFAULT = 10**6
 JOINT_CHECK_CAP = 12  # 2^n cells; beyond this the deep check is pointless
-WORKERS_ENV = "POSET_SECRETARY_WORKERS"
 MIN_PER_POSITION = 1000  # trials per arrival position the marginal check asks for
 
 # what verify_lemmas checks: the lemma names and their per-check defaults
@@ -127,10 +125,8 @@ class LemmaReport:
     sample_size: int
 
 
-def wilson_interval(
-    successes: int, trials: int, confidence: float = CONFIDENCE_DEFAULT
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at CONFIDENCE_DEFAULT.
 
     Clamped to [0, p_hat] and [p_hat, 1]: at successes 0 or trials the exact
     endpoint is p_hat itself, which the rounded formula can miss by an ulp.
@@ -139,9 +135,7 @@ def wilson_interval(
         raise ZeroTrialsError("need at least one trial")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    z = pvalues.normal_quantile((1.0 + confidence) / 2.0)
+    z = pvalues.normal_quantile((1.0 + CONFIDENCE_DEFAULT) / 2.0)
     p_hat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -153,18 +147,6 @@ def wilson_interval(
 # -- chunked drivers ---------------------------------------------------------
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
 def _pin_worker(started) -> None:
     """Pool initializer: worker i runs on the i-th allowed CPU, not stacked on its parent's."""
     with started:
@@ -174,7 +156,7 @@ def _pin_worker(started) -> None:
             os.sched_setaffinity(0, {cpus[started.value % len(cpus)]})
 
 
-def _run_chunks(task: Callable, trials: int, workers: int | None) -> list:
+def _run_chunks(task: Callable, trials: int, workers: int) -> list:
     """Apply a per-chunk tally function over the canonical chunk layout.
 
     Results are collected in chunk order; tallies are integers or arrays of
@@ -183,8 +165,9 @@ def _run_chunks(task: Callable, trials: int, workers: int | None) -> list:
     """
     if trials < 1:
         raise ZeroTrialsError("need at least one trial")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     layout = engine.chunk_layout(trials)
-    workers = _resolve_workers(workers)
     if workers == 1 or len(layout) == 1:
         return [task(c, rows) for c, rows in layout]
     workers = min(workers, len(layout))
@@ -202,7 +185,7 @@ def _tag_chunk(
 
 
 def _run_checks(
-    p: Poset, checks: Sequence[tuple], trials: int, master_seed: int, workers: int | None
+    p: Poset, checks: Sequence[tuple], trials: int, master_seed: int, workers: int
 ) -> list:
     """Every check over one pass of the canonical chunks; reports in check order.
 
@@ -266,8 +249,7 @@ def threshold_sweep(
     taus: Sequence[float],
     trials: int = TRIALS_DEFAULT,
     master_seed: int = 0,
-    workers: int | None = None,
-    confidence: float = CONFIDENCE_DEFAULT,
+    workers: int = 1,
 ) -> list[Estimate]:
     """One Estimate per threshold, all sharing the same trials.
 
@@ -285,9 +267,9 @@ def threshold_sweep(
     def report(tallies):
         out = []
         for tau, successes in zip(taus, np.sum(tallies, axis=0).tolist()):
-            low, high = wilson_interval(successes, trials, confidence)
+            low, high = wilson_interval(successes, trials)
             p_hat = successes / trials
-            out.append(Estimate(successes, trials, p_hat, low, high, master_seed, tau, confidence))
+            out.append(Estimate(successes, trials, p_hat, low, high, master_seed, tau))
         return out
 
     check = partial(_success_counts, p.is_maximal, taus), report
@@ -299,15 +281,14 @@ def estimate_success(
     tau: float = TAU_DEFAULT,
     trials: int = TRIALS_DEFAULT,
     master_seed: int = 0,
-    workers: int | None = None,
-    confidence: float = CONFIDENCE_DEFAULT,
+    workers: int = 1,
 ) -> Estimate:
     """Monte Carlo success probability of the threshold strategy."""
-    return threshold_sweep(p, [tau], trials, master_seed, workers, confidence)[0]
+    return threshold_sweep(p, [tau], trials, master_seed, workers)[0]
 
 
 def empirical_greedy_max(
-    p: Poset, samples: int, master_seed: int = 0, workers: int | None = None
+    p: Poset, samples: int, master_seed: int = 0, workers: int = 1
 ) -> np.ndarray:
     """Per-element counts of being the greedy maximum under random weights."""
     engine.check_sim_cap(p.n)
@@ -325,12 +306,12 @@ def _tested(
     return LemmaReport(statistic, observed, reference, pval, pval >= alpha, size)
 
 
-def _marginal_check(p: Poset, trials: int, alpha: float, min_per_position: int) -> tuple:
+def _marginal_check(p: Poset, trials: int, alpha: float) -> tuple:
     engine.check_sim_cap(p.n)
-    if min_per_position and trials < p.n * min_per_position:
+    if trials < p.n * MIN_PER_POSITION:
         raise ValueError(
-            f"need trials >= {p.n * min_per_position} for {p.n} positions "
-            f"(min_per_position={min_per_position})"
+            f"need trials >= {p.n * MIN_PER_POSITION} for {p.n} positions "
+            f"({MIN_PER_POSITION} per position)"
         )
 
     def report(tallies):
@@ -351,15 +332,14 @@ def verify_tag_marginals(
     trials: int = TRIALS_DEFAULT,
     master_seed: int = 0,
     alpha: float = ALPHA_DEFAULT,
-    min_per_position: int = MIN_PER_POSITION,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[LemmaReport]:
     """Check that the k-th arrival is tagged with frequency 1/k, per k.
 
     Two-sided exact binomial test per position; the first position is tagged
     with probability one and serves as a sanity anchor.
     """
-    check = _marginal_check(p, trials, alpha, min_per_position)
+    check = _marginal_check(p, trials, alpha)
     return _run_checks(p, [check], trials, master_seed, workers)
 
 
@@ -393,7 +373,7 @@ def verify_tag_independence(
     trials: int = TRIALS_DEFAULT,
     master_seed: int = 0,
     alpha: float = ALPHA_DEFAULT,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[LemmaReport]:
     """Pairwise chi-square independence tests over all tag-event pairs.
 
@@ -409,7 +389,7 @@ def verify_tag_joint(
     trials: int = TRIALS_DEFAULT,
     master_seed: int = 0,
     alpha: float = ALPHA_DEFAULT,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> LemmaReport:
     """Deep check: all 2^n tag patterns against the exact joint product law.
 
@@ -462,7 +442,7 @@ def verify_last_tag_uniform(
     trials: int = TRIALS_DEFAULT,
     master_seed: int = 0,
     alpha: float = ALPHA_DEFAULT,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> LemmaReport:
     """KS test: the last tag before time t, rescaled by 1/t, is Uniform[0,1].
 
@@ -508,7 +488,7 @@ def verify_tagged_given_arrival(
     t: float,
     trials: int = TRIALS_DEFAULT,
     master_seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> LemmaReport:
     """Pin x's arrival at time t and compare its tag frequency to mu_t(x).
 
@@ -527,7 +507,7 @@ def verify_lemmas(
     trials: int = TRIALS_DEFAULT,
     master_seed: int = 0,
     alpha: float = ALPHA_DEFAULT,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[LemmaReport]:
     """The checks of the named lemmas (any of LEMMAS), over one pass.
 
@@ -543,7 +523,7 @@ def verify_lemmas(
         raise ValueError(f"unknown lemmas {sorted(unknown)}; choose from {LEMMAS}")
     checks = []
     if "2" in lemmas:
-        checks.append(_marginal_check(p, trials, alpha, MIN_PER_POSITION))
+        checks.append(_marginal_check(p, trials, alpha))
         checks.append(_independence_check(p, trials, alpha))
     if "3" in lemmas:
         checks += [_last_tag_check(p, t, alpha) for t in LAST_TAG_TIMES]

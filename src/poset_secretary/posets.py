@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,9 +21,7 @@ __all__ = [
     "Poset",
     "SubsetMap",
     "from_relations",
-    "maximal_elements",
     "induced_subposet",
-    "elements_above",
     "transitive_closure",
     "transitive_reduction",
 ]
@@ -78,6 +76,7 @@ class Poset:
 
     @cached_property
     def maximal(self) -> frozenset[int]:
+        """Elements with nothing strictly above them; never empty."""
         return frozenset(int(i) for i in np.flatnonzero(self.is_maximal))
 
     @cached_property
@@ -150,10 +149,6 @@ class SubsetMap:
     def __len__(self) -> int:
         return len(self.members)
 
-    @classmethod
-    def of(cls, members: Iterable[int]) -> "SubsetMap":
-        return cls(tuple(sorted(set(int(m) for m in members))))
-
 
 def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     """Build a poset from any generating relation (covers or otherwise).
@@ -173,18 +168,6 @@ def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     if closed.diagonal().any():
         raise CycleError("relations contain a cycle")
     return Poset(n, closed)
-
-
-def maximal_elements(p: Poset) -> frozenset[int]:
-    """Elements with no element strictly above them; never empty."""
-    return p.maximal
-
-
-def elements_above(p: Poset, x: int) -> frozenset[int]:
-    """The strictly-above set { y : x < y }."""
-    if not 0 <= x < p.n:
-        raise IndexError(f"element {x} out of range for n={p.n}")
-    return frozenset(int(i) for i in np.flatnonzero(p.lt[x]))
 
 
 def induced_subposet(p: Poset, s: SubsetMap) -> Poset:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "sample_trial",
     "run_strategy",
     "tag_sequence",
-    "discrete_adapter",
 ]
 
 # Classical threshold, nearest float.
@@ -159,21 +157,3 @@ def run_strategy(p: Poset, trial: Trial, tau: float = TAU_DEFAULT) -> Outcome:
             break
     success = accepted is not None and accepted in p.maximal
     return Outcome(accepted, accept_time, success, tuple(log))
-
-
-def discrete_adapter(arrival_order: Sequence[int], rng: np.random.Generator) -> Trial:
-    """Realize a discrete-time arrival sequence as a continuous-time trial.
-
-    Draws n uniform times, sorts them, and hands the k-th smallest to the
-    k-th arriving element, so feeding the result to run_strategy plays the
-    discrete game.  Weights are drawn as usual.
-    """
-    order = [int(i) for i in arrival_order]
-    n = len(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("arrival_order must be a permutation of 0..n-1")
-    raw = np.sort(rng.random(n))
-    times = np.empty(n, dtype=float)
-    times[order] = raw
-    weights = rng.random(n)
-    return Trial(times, weights)

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,12 +69,6 @@ class TestSimulate:
     def test_tau_out_of_range_is_exit_3(self, run):
         code, _, err = run("simulate", "wedge", "--tau", "1.5")
         assert code == 3 and "tau" in err
-
-    def test_non_integer_workers_variable_is_exit_3_naming_it(self, run, monkeypatch):
-        monkeypatch.setenv(montecarlo.WORKERS_ENV, "two")
-        code, out, err = run(*SIM)
-        assert code == 3 and out == ""
-        assert montecarlo.WORKERS_ENV in err and "'two'" in err
 
     def test_unknown_source_is_exit_2(self, run):
         code, _, _ = run("simulate", "spiral:9")
@@ -155,6 +150,20 @@ class TestExactMu:
     def test_bad_t_is_exit_3(self, run):
         assert run("exact-mu", "wedge", "--t", "zebra")[0] == 3
         assert run("exact-mu", "wedge", "--t", "3/2")[0] == 3
+
+    @pytest.mark.parametrize("t", ["1e10000000", "1E-10000000", "1e4301", "1e-4300"])
+    def test_t_past_the_digit_limit_is_exit_3_at_once(self, run, t):
+        start = time.perf_counter()
+        code, out, err = run("exact-mu", "wedge", "--t", t)
+        assert code == 3 and out == "" and "--t" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_boolean_lattices_up_to_the_cap(self, run, k):
+        code, out, _ = run("exact-mu", f"boolean:{k}")
+        rows = json.loads(out)["results"]["mu"]
+        assert code == 0 and len(rows) == 1 << k
+        assert rows[-1] == {"element": (1 << k) - 1, "mu": "1"}
 
 
 def _members_ignore_t(bitw, upw, member, _scan=engine._passed_mask):
@@ -441,6 +450,7 @@ class TestErrorTaxonomy:
             ("exact-mu", "random:100000:0.1:1"),
             ("verify", "forest:40,40"),
             ("sweep", "boolean:7", "--taus", "0.5"),
+            ("exact-mu", "boolean:7"),
             ("exact-mu", "{file}"),
             ("exact-mu", "boolean:20000"),  # 2^K has more digits than str() prints
             ("exact-mu", "boolean:10000000000"),  # 2^K would take over a gigabyte

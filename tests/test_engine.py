@@ -20,7 +20,6 @@ from poset_secretary.engine import (
     chunk_layout,
     chunk_tags,
     chunk_uniforms,
-    trial_for_index,
 )
 from poset_secretary.errors import TooLargeError
 from poset_secretary.families import (
@@ -123,14 +122,6 @@ class TestChunking:
         t1, _ = chunk_uniforms(5, 2, 0, 10)
         assert not np.array_equal(t0, t1)
 
-    def test_trial_for_index_spans_chunks(self):
-        for idx in [0, 7, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 5]:
-            tr = trial_for_index(4, 42, idx)
-            chunk, row = divmod(idx, CHUNK_TRIALS)
-            times, weights = chunk_uniforms(4, 42, chunk, row + 1)
-            assert np.array_equal(tr.arrival_times, times[row])
-            assert np.array_equal(tr.weights, weights[row])
-
     @pytest.mark.parametrize("rows", [CHUNK_TRIALS, 3 * _SUB_BATCH + 17])
     def test_pieces_are_the_chunk_draw_bit_for_bit(self, rows):
         for seed in (99, (1 << 64) - 1):
@@ -145,21 +136,6 @@ class TestChunking:
             assert np.array_equal(((keys >> 6) * 2.0**-53).view(np.uint64),
                                   np.hstack([times, weights]).view(np.uint64))
             assert np.array_equal(keys & 63, np.broadcast_to(np.tile(np.arange(6), 2), keys.shape))
-
-    def test_trial_for_index_agrees_with_the_pieces(self):
-        pieces = {lo: (t, k) for lo, t, k in _chunk_pieces(4, 42, 1, 2 * _SUB_BATCH)}
-        for row in (_SUB_BATCH - 1, _SUB_BATCH, 2 * _SUB_BATCH - 1):
-            tr = trial_for_index(4, 42, CHUNK_TRIALS + row)
-            lo, i = divmod(row, _SUB_BATCH)
-            times, keys = (a[i] for a in pieces[lo * _SUB_BATCH])
-            assert np.array_equal(tr.arrival_times.view(np.uint64), times.view(np.uint64))
-            uniforms = (keys >> 6) * 2.0**-53
-            assert np.array_equal(tr.arrival_times.view(np.uint64), uniforms[:4].view(np.uint64))
-            assert np.array_equal(tr.weights.view(np.uint64), uniforms[4:].view(np.uint64))
-
-    def test_trial_index_validated(self):
-        with pytest.raises(ValueError):
-            trial_for_index(4, 42, -1)
 
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(ValueError):
@@ -267,6 +243,7 @@ SERIES_POSETS = [
                  id="forest-chain-random"),
     pytest.param(random_poset(20, 0.5, seed=1), id="random20-two-blocks"),
     pytest.param(random_poset(64, 0.5, seed=1), id="random64-posts-and-blocks"),
+    pytest.param(boolean_lattice(6), id="boolean6-one-block-between-two-posts"),
 ]
 # every rank bit: 32 blocks and no post; and 31 blocks beside two posts
 BLOCKS_32 = ordinal_sum(*[antichain(2)] * 32)

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from poset_secretary.errors import GeneratorSpecError
+from poset_secretary.errors import GeneratorSpecError, TooLargeError
 from poset_secretary.families import (
     FAMILIES,
     GeneratorSpec,
@@ -14,14 +14,14 @@ from poset_secretary.families import (
     random_poset,
     wedge,
 )
-from poset_secretary.posets import maximal_elements, transitive_reduction
+from poset_secretary.posets import transitive_reduction
 
 
 def test_chain_relations():
     p = chain(4)
     assert p.n == 4
     assert all(p.less(i, j) for i in range(4) for j in range(4) if i < j)
-    assert maximal_elements(p) == {3}
+    assert p.maximal == {3}
 
 
 def test_chain_of_one():
@@ -36,7 +36,7 @@ def test_chain_rejects_nonpositive():
 def test_antichain_has_no_relations():
     p = antichain(5)
     assert not p.lt.any()
-    assert maximal_elements(p) == set(range(5))
+    assert p.maximal == set(range(5))
 
 
 def test_wedge_shape():
@@ -44,7 +44,7 @@ def test_wedge_shape():
     assert p.n == 3
     assert p.less(0, 1) and p.less(0, 2)
     assert not p.less(1, 2) and not p.less(2, 1)
-    assert maximal_elements(p) == {1, 2}
+    assert p.maximal == {1, 2}
 
 
 def test_boolean_lattice_is_subset_order():
@@ -54,14 +54,18 @@ def test_boolean_lattice_is_subset_order():
         for b in range(8):
             expect = a != b and (a & b) == a  # proper submask
             assert p.less(a, b) == expect
-    assert maximal_elements(p) == {7}
+    assert p.maximal == {7}
 
 
 def test_boolean_lattice_bounds():
     with pytest.raises(ValueError):
         boolean_lattice(0)
-    with pytest.raises(ValueError):
-        boolean_lattice(5)
+    # every k with 2^k <= 64 builds; past it is refused without computing 2^k
+    assert boolean_lattice(5).n == 32
+    assert [len(part) for part in boolean_lattice(6).series_parts] == [1, 62, 1]
+    for k in (7, 10**10):
+        with pytest.raises(TooLargeError, match="cap"):
+            boolean_lattice(k)
 
 
 def test_forest_of_chains():
@@ -70,7 +74,7 @@ def test_forest_of_chains():
     # first chain on 0..1, second on 2..4, no cross relations
     assert p.less(0, 1) and p.less(2, 3) and p.less(2, 4) and p.less(3, 4)
     assert not p.less(1, 2) and not p.less(0, 4)
-    assert maximal_elements(p) == {1, 4}
+    assert p.maximal == {1, 4}
 
 
 def test_forest_rejects_bad_lengths():
@@ -154,7 +158,7 @@ class TestSpecGrammar:
         with pytest.raises(ValueError):
             parse_generator_spec("chain:0").build()
         with pytest.raises(ValueError):
-            parse_generator_spec("boolean:9").build()
+            parse_generator_spec("boolean:0").build()
         with pytest.raises(ValueError):
             parse_generator_spec("random:8:1.7:1").build()
 

@@ -110,10 +110,6 @@ class TestGreedyChain:
     def test_from_weights_breaks_ties_by_index(self):
         assert WeightRanking.from_weights([0.5, 0.5, 0.1]).rank == (1, 2, 0)
 
-    def test_lightest_first_inverts_rank(self):
-        w = WeightRanking((2, 0, 1))
-        assert w.lightest_first() == (1, 2, 0)
-
 
 class TestTagging:
     def test_first_arrival_always_tagged(self):

@@ -86,18 +86,11 @@ class TestWilson:
             assert (low, high)[successes == trials] == p_hat
             Estimate(successes, trials, p_hat, low, high, 0, 0.5)
 
-    def test_widens_with_confidence(self):
-        l1, h1 = wilson_interval(500, 1000, confidence=0.9)
-        l2, h2 = wilson_interval(500, 1000, confidence=0.99)
-        assert (h2 - l2) > (h1 - l1)
-
     def test_validates_inputs(self):
         with pytest.raises(ZeroTrialsError):
             wilson_interval(0, 0)
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
-        with pytest.raises(ValueError):
-            wilson_interval(1, 4, confidence=1.0)
 
 
 class TestEstimate:
@@ -245,9 +238,6 @@ class TestMarginals:
     def test_trials_floor_enforced(self):
         with pytest.raises(ValueError):
             verify_tag_marginals(chain(5), 200, master_seed=0)
-        # explicit opt-out for smoke runs
-        reports = verify_tag_marginals(chain(5), 200, master_seed=0, min_per_position=0)
-        assert len(reports) == 5
 
 
 class TestIndependence:

@@ -10,7 +10,6 @@ from poset_secretary.posets import SubsetMap, from_relations, induced_subposet
 from poset_secretary.simulate import (
     TAU_DEFAULT,
     Trial,
-    discrete_adapter,
     run_strategy,
     sample_trial,
     tag_sequence,
@@ -159,21 +158,3 @@ class TestRunStrategy:
     def test_default_threshold_is_one_over_e(self):
         assert TAU_DEFAULT == pytest.approx(1 / math.e, abs=0)
 
-
-class TestDiscreteAdapter:
-    def test_realizes_requested_order(self):
-        rng = np.random.default_rng(12)
-        tr = discrete_adapter([2, 0, 1], rng)
-        assert tr.arrival_order().tolist() == [2, 0, 1]
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            discrete_adapter([0, 0, 1], np.random.default_rng(0))
-
-    def test_plays_the_discrete_game(self):
-        # On a 2-chain with the top arriving second and lighter weights on the
-        # bottom, the strategy at tau=0 must accept the first arrival.
-        rng = np.random.default_rng(4)
-        tr = discrete_adapter([0, 1], rng)
-        out = run_strategy(chain(2), tr, tau=0.0)
-        assert out.accepted == 0
