@@ -180,7 +180,14 @@ def _cmd_exact_mu(args):
     for x in range(p.n):
         row = {"element": x, "mu": str(table[x])}
         if t is not None and x in p.maximal:
-            row["mu_t"] = str(table.mu_t(x, t))
+            mu_t = table.mu_t(x, t)
+            try:
+                row["mu_t"] = str(mu_t)
+            except ValueError as exc:  # Python's digit limit for int -> str
+                raise ValueError(
+                    f"--t {args.t}: mu_t of element {x} has more digits than Python prints "
+                    f"(sys.get_int_max_str_digits() is {sys.get_int_max_str_digits()})"
+                ) from exc
         rows.append(row)
     columns = ["element", "mu"] if t is None else ["element", "mu", "mu_t"]
     params = {"source": args.source, "t": t_text, "seed": args.seed}

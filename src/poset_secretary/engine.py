@@ -75,13 +75,13 @@ Rows are independent and are worked in sub-batches, which bounds the
 temporaries without changing any result.  Equivalence with the per-trial
 reference is pinned by tests.
 
-Two greedy scans live here.  The triangle gives each column its own
-member set, the arrivals its element has seen.  The bitmask scan
-(_passed_mask) has one member set per scan: batch_pinned_tags scans the
-arrivals before t once for every maximal element pinned there (lemma 4),
-which the triangle, needing one member set per column, cannot serve; and
-batch_greedy_maximum and chunk_greedy_counts scan every element, which
-walks the greedy chain itself.
+The bitmask scan (_passed_mask) is the other greedy scan.  The triangle
+gives each column its own member set, the arrivals its element has seen;
+the scan has one member set, so batch_pinned_tags runs it once for every
+maximal element pinned at one time t (lemma 4), which the triangle cannot
+serve.  At t = 1 every element is a member and the scan walks the greedy
+chain itself, so a maximal element pinned there is tagged iff it is the
+greedy maximum: batch_greedy_maximum is that pin.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ __all__ = [
     "tags_by_arrival",
     "batch_pinned_tags",
     "batch_greedy_maximum",
-    "chunk_greedy_counts",
 ]
 
 # Canonical batch size. Fixed: changing it would change which trial sees
@@ -406,14 +405,14 @@ def tags_by_arrival(aorder: np.ndarray, tagged: np.ndarray) -> np.ndarray:
     return tagged.take(_columns(aorder)[1])
 
 
-def _passed_mask(bitw: np.ndarray, upw: np.ndarray, member: np.ndarray | None = None) -> np.ndarray:
+def _passed_mask(bitw: np.ndarray, upw: np.ndarray, member: np.ndarray) -> np.ndarray:
     """Bit e of row b: e's bit is in the running up-mask when the scan reaches e.
 
     The bitmask greedy scan, over (n, rows) weight-order columns: bitw[w] and
     upw[w] are the bit and the up-mask of each row's w-th element.  The state
     is the up-mask of the running greedy element of the members scanned so
-    far, all-ones while none is taken; a member whose bit is in the state
-    takes over.  member None makes every element a member.
+    far, all-ones while none is taken; a member (member[w]) whose bit is in
+    the state takes over.
     """
     state = np.full(bitw.shape[1], np.iinfo(bitw.dtype).max, dtype=bitw.dtype)
     passed = np.zeros_like(state)
@@ -423,8 +422,7 @@ def _passed_mask(bitw: np.ndarray, upw: np.ndarray, member: np.ndarray | None = 
         np.bitwise_and(state, bitw[w], out=hit)
         passed |= hit
         np.not_equal(hit, 0, out=go)
-        if member is not None:
-            go &= member[w]
+        go &= member[w]
         # state = where(go, upw[w], state), branch-free as in the tag kernel
         np.bitwise_xor(state, upw[w], out=hit)
         hit *= go
@@ -485,35 +483,14 @@ def _pinned_sub_batch(up, pins, times, worder, out) -> None:
 def batch_greedy_maximum(lt: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Greedy maximum of the poset with strict order lt, per row of weights.
 
-    Equal weights go to the lowest index.  Raises TooLargeError when n
-    exceeds SIM_CAP.
+    Equal weights go to the lowest index.  The greedy maximum is the one
+    maximal element tagged when pinned at t = 1, every other element having
+    arrived before it: batch_pinned_tags with all times 0 and the stable
+    weight order.  Raises TooLargeError when n exceeds SIM_CAP.
     """
-    return _greedy_maxima(Poset(len(lt), lt), _stable_argsort(weights).astype(np.uint8))
-
-
-def chunk_greedy_counts(p: Poset, master_seed: int, chunk_index: int, rows: int) -> np.ndarray:
-    """Per-element counts of batch_greedy_maximum over one canonical chunk's
-    weights, drawn one sub-batch at a time: the chunk keeps only its order."""
-    worder = np.empty((rows, p.n), dtype=np.uint8)
-    for lo, _, keys in _chunk_pieces(p.n, master_seed, chunk_index, rows):
-        worder[lo:lo + len(keys)] = _key_order(keys[:, p.n:])
-    return np.bincount(_greedy_maxima(p, worder), minlength=p.n)
-
-
-def _greedy_maxima(p: Poset, worder: np.ndarray) -> np.ndarray:
-    """Each row's greedy maximum, from its uint8 stable weight order.
-
-    With every element a member, the bitmask scan passes exactly the greedy
-    chain, whose one maximal bit ends it: a power of two, which float64
-    holds exactly, so frexp reads its index.
-    """
-    bits, up = _kernel_tables(p)[:2]
-    dtype = up.dtype.type
-    maxima = np.bitwise_or.reduce(bits[p.is_maximal])
-    out = np.empty(worder.shape[0], dtype=np.intp)
-    for lo in range(0, worder.shape[0], _SUB_BATCH):
-        rows = slice(lo, lo + _SUB_BATCH)
-        wo = np.ascontiguousarray(worder[rows].T)
-        passed = _passed_mask(np.left_shift(dtype(1), wo, dtype=dtype), up.take(wo))
-        out[rows] = np.frexp((passed & maxima).astype(np.float64))[1] - 1
-    return out
+    p = Poset(len(lt), lt)
+    tops = np.array(sorted(p.maximal))
+    times = np.broadcast_to(0.0, weights.shape)
+    worder = _stable_argsort(weights).astype(np.uint8)
+    hits = batch_pinned_tags(p, [(x, 1.0) for x in tops], times, worder)
+    return tops[hits.argmax(axis=0)]

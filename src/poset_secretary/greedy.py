@@ -26,7 +26,7 @@ f_x(0) = 1 at t = 0.
 
 greedy_chain is the per-trial reference.  The vectorised greedy scans live
 in engine, beside the tag kernel: its triangle, and the bitmask scan behind
-batch_greedy_maximum and lemma 4's pinned check.
+lemma 4's pinned check, whose pin at t = 1 is batch_greedy_maximum.
 """
 
 from __future__ import annotations

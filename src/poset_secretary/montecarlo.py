@@ -17,13 +17,13 @@ checks, which count by arrival position, read the flags in the arrival order
 the kernel sorted (engine.tags_by_arrival).  Lemma 4's pinned check reads
 no tag flags: engine.batch_pinned_tags runs one bitmask scan over the
 kernel's series order per pinned time, shared by every maximal element.
-empirical_greedy_max runs no tag pass: engine.chunk_greedy_counts draws a
-chunk's weights alone and runs the same bitmask scan with every element a
-member.  Every scan lives in engine, and this module calls only its public
-names.  Every estimate and check is a (reducer, report) pair run by
-_run_checks: verify_lemmas runs all requested checks over one pass and at
-most one process pool, and each per-lemma function and threshold_sweep run
-the same code path with their own.
+empirical_greedy_max is that check at t = 1: a maximal element pinned after
+every other arrival is tagged iff it is the greedy maximum.  Every scan
+lives in engine, and this module calls only its public names.  Every
+estimate and check is a (reducer, report) pair run by _run_checks:
+verify_lemmas runs all requested checks over one pass and at most one
+process pool, and each per-lemma function and threshold_sweep run the same
+code path with their own.
 
 P-values come from pvalues: the exact two-sided binomial test for each tag
 marginal, Pearson's chi-square for pairwise independence and the joint
@@ -290,10 +290,22 @@ def estimate_success(
 def empirical_greedy_max(
     p: Poset, samples: int, master_seed: int = 0, workers: int = 1
 ) -> np.ndarray:
-    """Per-element counts of being the greedy maximum under random weights."""
+    """Per-element counts of being the greedy maximum under random weights.
+
+    Lemma 4's pinned check at t = 1, where every other element arrives
+    first: x is tagged there iff it is the greedy maximum.  A non-maximal
+    element counts 0.
+    """
     engine.check_sim_cap(p.n)
-    tallies = _run_chunks(partial(engine.chunk_greedy_counts, p, master_seed), samples, workers)
-    return np.sum(tallies, axis=0)
+    tops = sorted(p.maximal)
+
+    def report(tallies):
+        counts = np.zeros(p.n, dtype=np.int64)
+        counts[tops] = np.sum(tallies, axis=0)
+        return [counts]
+
+    check = partial(_pinned_hits, p, [(x, 1.0) for x in tops]), report
+    return _run_checks(p, [check], samples, master_seed, workers)[0]
 
 
 # -- verification -------------------------------------------------------------

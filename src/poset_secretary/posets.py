@@ -63,10 +63,6 @@ class Poset:
         lt.setflags(write=False)
         object.__setattr__(self, "lt", lt)
 
-    def less(self, a: int, b: int) -> bool:
-        """True iff a < b."""
-        return bool(self.lt[a, b])
-
     @cached_property
     def is_maximal(self) -> np.ndarray:
         """Boolean vector: element has nothing strictly above it."""

@@ -158,6 +158,13 @@ class TestExactMu:
         assert code == 3 and out == "" and "--t" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_a_mu_t_past_the_digit_limit_is_exit_3_naming_t_and_the_row(self, run):
+        # the table builds, but mu_t at a tiny t has more digits than str() prints
+        code, out, err = run("exact-mu", "antichain:64", "--t", "1e-100")
+        assert code == 3 and out == ""
+        assert "--t" in err and "element 0" in err
+        assert f"sys.get_int_max_str_digits() is {sys.get_int_max_str_digits()}" in err
+
     @pytest.mark.parametrize("k", [5, 6])
     def test_boolean_lattices_up_to_the_cap(self, run, k):
         code, out, _ = run("exact-mu", f"boolean:{k}")

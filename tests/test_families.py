@@ -20,7 +20,7 @@ from poset_secretary.posets import transitive_reduction
 def test_chain_relations():
     p = chain(4)
     assert p.n == 4
-    assert all(p.less(i, j) for i in range(4) for j in range(4) if i < j)
+    assert all(p.lt[i, j] for i in range(4) for j in range(4) if i < j)
     assert p.maximal == {3}
 
 
@@ -42,8 +42,8 @@ def test_antichain_has_no_relations():
 def test_wedge_shape():
     p = wedge()
     assert p.n == 3
-    assert p.less(0, 1) and p.less(0, 2)
-    assert not p.less(1, 2) and not p.less(2, 1)
+    assert p.lt[0, 1] and p.lt[0, 2]
+    assert not p.lt[1, 2] and not p.lt[2, 1]
     assert p.maximal == {1, 2}
 
 
@@ -53,7 +53,7 @@ def test_boolean_lattice_is_subset_order():
     for a in range(8):
         for b in range(8):
             expect = a != b and (a & b) == a  # proper submask
-            assert p.less(a, b) == expect
+            assert p.lt[a, b] == expect
     assert p.maximal == {7}
 
 
@@ -72,8 +72,8 @@ def test_forest_of_chains():
     p = forest_of_chains([2, 3])
     assert p.n == 5
     # first chain on 0..1, second on 2..4, no cross relations
-    assert p.less(0, 1) and p.less(2, 3) and p.less(2, 4) and p.less(3, 4)
-    assert not p.less(1, 2) and not p.less(0, 4)
+    assert p.lt[0, 1] and p.lt[2, 3] and p.lt[2, 4] and p.lt[3, 4]
+    assert not p.lt[1, 2] and not p.lt[0, 4]
     assert p.maximal == {1, 4}
 
 
@@ -96,7 +96,7 @@ def test_random_poset_is_valid_and_seeded():
 def test_random_poset_density_extremes():
     assert not random_poset(6, 0.0, seed=1).lt.any()
     p = random_poset(6, 1.0, seed=1)
-    assert all(p.less(i, j) for i in range(6) for j in range(6) if i < j)
+    assert all(p.lt[i, j] for i in range(6) for j in range(6) if i < j)
 
 
 def test_random_poset_rejects_bad_probability():

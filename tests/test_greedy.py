@@ -301,7 +301,7 @@ def test_greedy_chain_is_increasing_in_order_and_weight(p, rnd):
     w = WeightRanking(tuple(rank))
     c = greedy_chain(p, w)
     for a, b in zip(c.elements, c.elements[1:]):
-        assert p.less(a, b)
+        assert p.lt[a, b]
         assert w.rank[a] < w.rank[b]
     assert c.terminal in p.maximal
 
@@ -319,7 +319,7 @@ def test_single_scan_equals_recursion(p, rnd):
     w = WeightRanking(tuple(rank))
     z = perm[0]
     for e in perm[1:]:
-        if p.less(z, e):
+        if p.lt[z, e]:
             z = e
     assert z == greedy_maximum(p, w)
 

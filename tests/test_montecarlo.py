@@ -207,17 +207,30 @@ class TestGreedyMaxSampling:
             empirical_greedy_max(chain(SIM_CAP + 1), 1000)
 
     def test_chunk_counts_equal_the_stable_order_of_the_chunk_draw(self):
-        # at n = 64 the greedy maximum is read out of a uint64 mask, and a
-        # chain's is always its top element, bit 63
+        # at n = 64 the pinned scan reads the top bit of a uint64 mask, and a
+        # chain's greedy maximum is always its top element, bit 63
         rows = 2 * engine._SUB_BATCH + 5
         for p in (random_poset(12, 0.3, seed=4), random_poset(64, 0.1, seed=3), chain(64)):
-            _, weights = engine.chunk_uniforms(p.n, 6, 1, rows)
+            _, weights = engine.chunk_uniforms(p.n, 6, 0, rows)
             got = engine.batch_greedy_maximum(p.lt, weights)
             for b in range(0, rows, 41):
                 assert got[b] == greedy_maximum(p, WeightRanking.from_weights(weights[b]))
             want = np.bincount(got, minlength=p.n)
-            assert np.array_equal(engine.chunk_greedy_counts(p, 6, 1, rows), want)
+            assert np.array_equal(empirical_greedy_max(p, rows, 6), want)
         assert want[63] == rows
+
+    @pytest.mark.parametrize("p", [wedge(), random_poset(8, 0.3, seed=42), chain(64)])
+    def test_counts_are_lemma_4_pinned_at_one(self, p):
+        # x pinned at t = 1 arrives after every other element, so it is
+        # tagged iff it is the greedy maximum: the same hits, trial for trial
+        trials, seed = 20_000, 3
+        counts = empirical_greedy_max(p, trials, seed)
+        for x in range(p.n):
+            if x in p.maximal:
+                rep = verify_tagged_given_arrival(p, x, 1.0, trials, seed)
+                assert counts[x] / trials == rep.observed
+            else:
+                assert counts[x] == 0
 
 
 class TestMarginals:
@@ -439,6 +452,9 @@ class TestVerifyLemmas:
             monkeypatch.setattr(engine, name, counted)
         verify_lemmas(wedge(), LEMMAS, CHUNK_TRIALS + 1, master_seed=0)
         assert calls == {"_philox": 2, "chunk_tags": 2}
+        calls.update(_philox=0, chunk_tags=0)
+        empirical_greedy_max(wedge(), CHUNK_TRIALS + 1, master_seed=0)
+        assert calls == {"_philox": 2, "chunk_tags": 2}
 
     def test_pinned_references_come_from_one_table(self, monkeypatch):
         calls = []
@@ -470,12 +486,14 @@ class TestChunkFootprint:
     @pytest.mark.parametrize("p", [chain(20), antichain(64)])
     def test_a_chunk_pass_peaks_below_twice_its_times(self, p):
         # the chunk keeps float64 times, a uint8 weight order and bool tags;
-        # the weights and every float64 temporary, the pinned scan's included,
+        # the weights and every float64 temporary, the pinned scans' included,
         # live one sub-batch at a time
         pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
         reducers = (
             partial(montecarlo._success_counts, p.is_maximal, (0.3679,)),
             partial(montecarlo._pinned_hits, p, pins),
+            # empirical_greedy_max's reducer: every maximal element pinned at 1
+            partial(montecarlo._pinned_hits, p, [(x, 1.0) for x in sorted(p.maximal)]),
         )
         tracemalloc.start()
         try:
@@ -484,18 +502,6 @@ class TestChunkFootprint:
         finally:
             tracemalloc.stop()
         assert peak < 2 * CHUNK_TRIALS * p.n * np.dtype(np.float64).itemsize
-
-    def test_a_greedy_count_chunk_peaks_as_two_sub_batches_do(self):
-        # empirical_greedy_max draws a chunk one sub-batch at a time
-        def peak(rows):
-            tracemalloc.start()
-            try:
-                engine.chunk_greedy_counts(chain(20), 0, 0, rows)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(CHUNK_TRIALS) < peak(2 * engine._SUB_BATCH) + 2 * 2**20
 
 
 class TestDeterminismAcrossChunks:

@@ -72,8 +72,8 @@ class TestConstruction:
 
     def test_closure_applied(self):
         p = from_relations(4, [(0, 1), (1, 2), (2, 3)])
-        assert p.less(0, 3)
-        assert not p.less(3, 0)
+        assert p.lt[0, 3]
+        assert not p.lt[3, 0]
 
     def test_equality_and_hash(self):
         a = from_relations(3, [(0, 1), (1, 2)])
@@ -152,12 +152,12 @@ def test_series_parts_are_the_ordinal_sum_decomposition(n_pairs, rnd):
     assert all(list(part) == sorted(part) for part in parts)
     for i, lower in enumerate(parts):
         for upper in parts[i + 1:]:  # bottom to top, every pair across parts comparable
-            assert all(p.less(a, b) for a in lower for b in upper)
+            assert all(p.lt[a, b] for a in lower for b in upper)
         reached, frontier = {lower[0]}, [lower[0]]  # the part's incomparability graph is connected
         while frontier:
             a = frontier.pop()
             for b in lower:
-                if b not in reached and not p.less(a, b) and not p.less(b, a):
+                if b not in reached and not p.lt[a, b] and not p.lt[b, a]:
                     reached.add(b)
                     frontier.append(b)
         assert reached == set(lower)
@@ -168,7 +168,7 @@ class TestSubposets:
         p = from_relations(4, [(0, 1), (1, 2), (2, 3)])
         q = induced_subposet(p, SubsetMap((0, 2, 3)))
         assert q.n == 3
-        assert q.less(0, 1) and q.less(1, 2) and q.less(0, 2)
+        assert q.lt[0, 1] and q.lt[1, 2] and q.lt[0, 2]
 
     def test_empty_subset_rejected(self):
         p = from_relations(2, [(0, 1)])
@@ -208,7 +208,7 @@ def test_closure_idempotent_and_valid(n_pairs):
     assert np.array_equal(closed, p.lt)
     assert not p.lt.diagonal().any()
     for a, b in pairs:
-        assert p.less(a, b)
+        assert p.lt[a, b]
 
 
 @given(relation_strategy())
@@ -231,7 +231,7 @@ def test_restriction_commutes_with_relation(n_pairs, rnd):
     q = induced_subposet(p, SubsetMap(members))
     for i, a in enumerate(members):
         for j, b in enumerate(members):
-            assert q.less(i, j) == p.less(a, b)
+            assert q.lt[i, j] == p.lt[a, b]
 
 
 @given(relation_strategy())

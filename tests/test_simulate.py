@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from poset_secretary.engine import batch_tag_matrix
 from poset_secretary.errors import DimensionError
-from poset_secretary.families import antichain, chain, wedge
+from poset_secretary.families import antichain, chain, forest_of_chains, wedge
 from poset_secretary.greedy import WeightRanking, greedy_maximum
 from poset_secretary.posets import SubsetMap, from_relations, induced_subposet
 from poset_secretary.simulate import (
@@ -129,6 +131,28 @@ class TestRunStrategy:
         # top arrives first; the bottom, arriving after tau, is never tagged
         out = run_strategy(p, trial([0.9, 0.1], [0.2, 0.7]), tau=0.5)
         assert out.accepted is None and out.accept_time is None and not out.success
+
+    def test_one_tag_after_tau_can_still_fail(self):
+        # forest:2,2 (0 < 1, 2 < 3): the only tag is the first arrival, 0, and
+        # neither it nor the last tag is the greedy maximum 3, so exactly one
+        # tag after tau does not imply success
+        p = forest_of_chains([2, 2])
+        t = trial([0.1, 0.4, 0.3, 0.2], [0.2, 0.3, 0.1, 0.4])
+        assert [ev.element for ev in tag_sequence(p, t) if ev.tagged] == [0]
+        _, tagged = batch_tag_matrix(p, t.arrival_times[None], t.weights[None])
+        assert tagged.tolist() == [[True, False, False, False]]
+        assert greedy_maximum(p, WeightRanking.from_weights(t.weights)) == 3
+        out = run_strategy(p, t, tau=0.05)
+        assert out.accepted == 0 and not out.success
+
+    def test_the_last_tag_is_not_always_maximal(self):
+        # all 24 x 24 order pairs of forest:2,2: 12 end on a non-maximal tag
+        p = forest_of_chains([2, 2])
+        perms = np.array(list(itertools.permutations(range(4))), dtype=float)
+        times, weights = np.repeat(perms, 24, axis=0), np.tile(perms, (24, 1))
+        _, tagged = batch_tag_matrix(p, times, weights)
+        last = np.where(tagged, times, -1.0).argmax(axis=1)
+        assert np.count_nonzero(~p.is_maximal[last]) == 12
 
     def test_success_requires_maximal(self):
         p = chain(2)
