@@ -10,10 +10,10 @@ constants, so every reported number is a pure function of (poset,
 parameters, master seed) and workers only decide who computes which chunk,
 never what comes out.  A chunk may be drawn in consecutive pieces of rows:
 the stream continues where the last piece ended, so the pieces are
-bit-identical to one whole-chunk draw.  chunk_tags draws and tags a chunk
-_SUB_BATCH rows at a time, so its weights never exist at chunk level; it
-returns float64 times, the uint8 arrival and series orders (n <= SIM_CAP)
-and the bool tag matrix, each (rows, n).
+bit-identical to one whole-chunk draw.  chunk_tags yields a chunk in such
+pieces of _SUB_BATCH rows, each tagged: float64 times, the uint8 arrival
+and series orders (n <= SIM_CAP) and the bool tag matrix, each (m, n), so
+no array of the chunk's size is built.
 
 The tag matrix gives the same flags as simulate.tag_sequence without running
 its greedy scan once per arrival prefix.  It is element-major: tagged[b, x]
@@ -71,7 +71,7 @@ place of n(n-1)/2 for the whole poset, and posts take no column.  Column w
 is final once step w starts, so x = e_w passes (a) iff its mask holds x's
 own bit; OR-ing those bits over the columns, and the posts' bits, gives a
 mask of the elements that pass, with no scatter back to element order.
-Rows are independent and are worked in sub-batches, which bounds the
+Rows are independent and are worked _SUB_BATCH at a time, which bounds the
 temporaries without changing any result.  Equivalence with the per-trial
 reference is pinned by tests.
 
@@ -86,7 +86,9 @@ greedy maximum: batch_greedy_maximum is that pin.
 
 from __future__ import annotations
 
-from typing import Sequence
+import ctypes
+from functools import cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -115,8 +117,8 @@ CHUNK_TRIALS = 1 << 15
 # Largest poset the tag kernel simulates: one bit per element in a uint64.
 SIM_CAP = 64
 
-# Rows per tag-kernel pass. Rows are independent, so this bounds the
-# temporaries and never changes a result.
+# Rows per piece of a chunk and per tag-kernel pass. Rows are independent,
+# so this bounds the temporaries and never changes a result.
 _SUB_BATCH = 2048
 
 _MASK64 = (1 << 64) - 1
@@ -172,12 +174,12 @@ def _key_order(keys: np.ndarray) -> np.ndarray:
 def _chunk_pieces(
     n: int, master_seed: int, chunk_index: int, rows: int, ranks: np.ndarray | None = None
 ):
-    """Yield (first row, times, keys) of one canonical chunk, _SUB_BATCH rows at a time.
+    """Yield (times, keys) of one canonical chunk, _SUB_BATCH rows at a time, in row order.
 
-    A piece holds the rows that start at its first row: times (m, n) equal to
-    chunk_uniforms' times bit for bit, and the order keys (m, 2n) of the same
-    rows' times, then weights.  ranks, when given, holds each element's
-    series rank already shifted into the weight keys' top bits.
+    A piece's times (m, n) equal its rows of chunk_uniforms' times bit for
+    bit, and its order keys (m, 2n) are the same rows' times, then weights.
+    ranks, when given, holds each element's series rank already shifted
+    into the weight keys' top bits.
     """
     tail = np.tile(np.arange(n, dtype=np.uint64), 2)
     if ranks is not None:
@@ -189,7 +191,7 @@ def _chunk_pieces(
         times = words[:, :n] * 2.0**-53
         words <<= _INDEX_BITS
         words |= tail
-        yield lo, times, words
+        yield times, words
 
 
 def _stable_argsort(a: np.ndarray) -> np.ndarray:
@@ -281,30 +283,44 @@ def batch_tag_matrix(
     return worder, tagged
 
 
+@cache
+def _keep_freed_heap() -> None:
+    """Pin glibc's mmap and trim thresholds where its own dynamic rule tops out.
+
+    The rule trims the heap once twice the largest mmapped block freed lies
+    free at its top.  A piece frees more (at n = 64, 6 MiB against a 2-MiB
+    largest block), so unpinned, each piece hands its pages back and the
+    next faults them in again.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt in this C library
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at the rule's 64-bit ceiling
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice that, as the rule sets it
+
+
 def chunk_tags(
     p: Poset, master_seed: int, chunk_index: int, rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(times, aorder, worder, tagged) of one canonical chunk, drawn and tagged per sub-batch.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (times, aorder, worder, tagged) of one canonical chunk, one piece at a time.
 
-    Equal to chunk_uniforms' times, their stable arrival order and
-    batch_tag_matrix on its output (worder is the series order), but the
-    weights live only one sub-batch at a time.  Raises TooLargeError when
-    p.n exceeds SIM_CAP, before anything is drawn.
+    Pieces hold at most _SUB_BATCH rows, in row order; stacked, they equal
+    chunk_uniforms' times, their stable arrival order and batch_tag_matrix
+    on its output (worder is the series order).  Raises TooLargeError when
+    p.n exceeds SIM_CAP at the call, before anything is drawn.
     """
     tables = _kernel_tables(p)
     n = p.n
-    times = np.empty((rows, n))
-    aorder = np.empty((rows, n), dtype=np.uint8)
-    worder = np.empty((rows, n), dtype=np.uint8)
-    tagged = np.empty((rows, n), dtype=bool)
+    _keep_freed_heap()
+
+    def tag(times, keys):
+        aorder, worder = _key_order(keys[:, :n]), _key_order(keys[:, n:])
+        return times, aorder, worder, _tag_sub_batch(*tables, aorder, worder)
+
     pieces = _chunk_pieces(n, master_seed, chunk_index, rows, _series_ranks(p))
-    for lo, piece_times, keys in pieces:
-        sub = slice(lo, lo + len(keys))
-        times[sub] = piece_times
-        aorder[sub] = _key_order(keys[:, :n])
-        worder[sub] = _key_order(keys[:, n:])
-        tagged[sub] = _tag_sub_batch(*tables, aorder[sub], worder[sub])
-    return times, aorder, worder, tagged
+    return (tag(times, keys) for times, keys in pieces)
 
 
 def _seen(ao: np.ndarray, dtype: type) -> np.ndarray:
@@ -376,15 +392,10 @@ def batch_accept(
     """First tagged arrival strictly after tau; (accepted or -1, success).
 
     Equal times go to the lowest index, as in the stable arrival order.
-    Rows are worked in sub-batches, which bounds the float64 temporary.
     """
-    first = np.empty(times.shape[0], dtype=np.intp)
-    has = np.empty(times.shape[0], dtype=bool)
-    for lo in range(0, times.shape[0], _SUB_BATCH):
-        rows = slice(lo, lo + _SUB_BATCH)
-        due = np.where(tagged[rows] & (times[rows] > tau), times[rows], np.inf)
-        first[rows] = due.argmin(axis=1)
-        has[rows] = due[np.arange(due.shape[0]), first[rows]] < np.inf
+    due = np.where(tagged & (times > tau), times, np.inf)
+    first = due.argmin(axis=1)
+    has = due[np.arange(due.shape[0]), first] < np.inf
     return np.where(has, first, -1), has & is_maximal[first]
 
 
@@ -452,22 +463,13 @@ def batch_pinned_tags(
     maximum of T's lighter members, or of lower parts only, in both orders.
     """
     up = _kernel_tables(p)[1]
-    out = np.empty((len(pins), times.shape[0]), dtype=bool)
-    for lo in range(0, times.shape[0], _SUB_BATCH):
-        rows = slice(lo, lo + _SUB_BATCH)
-        _pinned_sub_batch(up, pins, times[rows], worder[rows], out[:, rows])
-    return out
-
-
-def _pinned_sub_batch(up, pins, times, worder, out) -> None:
-    """batch_pinned_tags of one sub-batch into out, up holding p's up-masks."""
     dtype = up.dtype.type
     wo, at = _columns(worder)
     timew = times.take(at)
-    del at  # freed for the scan tables: a whole chunk's flags are held meanwhile
     upw = up.take(wo)
     bitw = wo.astype(dtype)
     np.left_shift(dtype(1), bitw, out=bitw)
+    out = np.empty((len(pins), times.shape[0]), dtype=bool)
     for t in dict.fromkeys(t for _, t in pins):
         member = timew < t
         shared = None if (times == t).any() else _passed_mask(bitw, upw, member)
@@ -478,6 +480,7 @@ def _pinned_sub_batch(up, pins, times, worder, out) -> None:
             if passed is None:  # the tie rule makes the member set depend on x
                 passed = _passed_mask(bitw, upw, member | ((timew == t) & (wo < x)))
             out[i] = (passed & (dtype(1) << dtype(x))) != 0
+    return out
 
 
 def batch_greedy_maximum(lt: np.ndarray, weights: np.ndarray) -> np.ndarray:

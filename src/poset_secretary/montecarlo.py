@@ -1,17 +1,17 @@
 """Monte Carlo estimation and statistical verification of the strategy laws.
 
 Every routine here is a pure function of (poset, parameters, master seed):
-trials are drawn in canonical chunks (see engine), tallies are integers, and
-aggregation is order-independent addition, so worker count is purely a speed
-knob.  Verification checks default to alpha=0.001 per test, with no
-family-wise control, so a suite of dozens of tests flags a correct
-implementation far more often than alpha.
+trials are drawn in canonical chunks (see engine), tallies are integer
+counts, added, or last-tag samples, joined in trial order, so worker count
+is purely a speed knob.  Verification checks default to alpha=0.001 per
+test, with no family-wise control, so a suite of dozens of tests flags a
+correct implementation far more often than alpha.
 
-One pass per chunk: each canonical chunk is drawn and tagged once
-(_tag_chunk, through engine.chunk_tags), and every statistic is a reducer of
-that chunk's (times, aorder, worder, tagged): the arrival times, each row's
-stable arrival and weight orders and the element-major tag flags.  No
-reducer reads the weights, which live one sub-batch at a time.  Acceptance
+One pass per chunk: each canonical chunk is drawn and tagged once, piece
+by piece (_tag_chunk, through engine.chunk_tags), and every statistic is a
+reducer of each piece's (times, aorder, worder, tagged): the arrival times,
+each row's stable arrival and series orders and the element-major tag
+flags.  Its tallies add over the pieces into one per chunk.  Acceptance
 and last-tag times read tagged elements' times directly; only the lemma-2
 checks, which count by arrival position, read the flags in the arrival order
 the kernel sorted (engine.tags_by_arrival).  Lemma 4's pinned check reads
@@ -159,18 +159,22 @@ def _pin_worker(started) -> None:
 def _run_chunks(task: Callable, trials: int, workers: int) -> list:
     """Apply a per-chunk tally function over the canonical chunk layout.
 
-    Results are collected in chunk order; tallies are integers or arrays of
-    integers, so any reduction downstream is partition-independent.  The
-    pool has no more workers than chunks: it forks all of them up front.
+    Results come in chunk order, so every report, lemma 3's row-ordered
+    float samples included, is partition-independent.  The pool forks all
+    its workers up front: no more than chunks, or than usable CPUs.
     """
     if trials < 1:
         raise ZeroTrialsError("need at least one trial")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     layout = engine.chunk_layout(trials)
-    if workers == 1 or len(layout) == 1:
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(workers, len(layout), cpus)
+    if workers == 1:
         return [task(c, rows) for c, rows in layout]
-    workers = min(workers, len(layout))
     with ProcessPoolExecutor(workers, initializer=_pin_worker, initargs=(Value("i"),)) as pool:
         futures = [pool.submit(task, c, rows) for c, rows in layout]
         return [f.result() for f in futures]
@@ -179,9 +183,14 @@ def _run_chunks(task: Callable, trials: int, workers: int) -> list:
 def _tag_chunk(
     p: Poset, reducers: tuple[Callable, ...], master_seed: int, chunk: int, rows: int
 ) -> list:
-    """Draw and tag one canonical chunk, then apply every reducer to it."""
-    tags = engine.chunk_tags(p, master_seed, chunk, rows)
-    return [reduce(*tags) for reduce in reducers]
+    """Draw and tag one canonical chunk; one tally per reducer, added over its pieces."""
+    pieces = engine.chunk_tags(p, master_seed, chunk, rows)
+    # a chunk has rows; its first piece starts every tally and is not kept
+    tallies = [reduce(*piece) for piece in [next(pieces)] for reduce in reducers]
+    for piece in pieces:
+        for tally, reduce in zip(tallies, reducers):
+            tally += reduce(*piece)  # in place: an array adds, a list extends
+    return tallies
 
 
 def _run_checks(
@@ -190,9 +199,9 @@ def _run_checks(
     """Every check over one pass of the canonical chunks; reports in check order.
 
     A check is a (reducer, report) pair, built only after its parameters are
-    validated: the reducer runs on every chunk, and report turns the list of
-    per-chunk tallies, in chunk order, into a list of results.  Checks that
-    share a reducer share its tally, so it runs once per chunk.
+    validated: the reducer runs on every piece, and report turns the list
+    of per-chunk tallies, in chunk order, into a list of results.  Checks
+    that share a reducer share its tally, so it runs once per piece.
     """
     if not checks:
         return []
@@ -205,7 +214,7 @@ def _run_checks(
     return reports
 
 
-# -- reducers: (times, aorder, worder, tagged) of one chunk -> tally -----------
+# -- reducers: (times, aorder, worder, tagged) of one piece -> tally -----------
 # tagged is element-major (see engine.batch_tag_matrix); only the lemma-2
 # reducers, which count by arrival position, read it in arrival order
 # (engine.tags_by_arrival), and lemma 4's reads (times, worder) alone.
@@ -221,7 +230,7 @@ def _success_counts(is_maximal, taus, times, aorder, worder, tagged) -> np.ndarr
 
 
 def _tag_pair_counts(times, aorder, worder, tagged) -> np.ndarray:
-    # float64 runs on BLAS and is exact: a chunk's counts stay far below 2^53
+    # float64 runs on BLAS and is exact: a piece's counts stay far below 2^53
     flags = engine.tags_by_arrival(aorder, tagged).astype(np.float64)
     return (flags @ flags.T).astype(np.int64)
 
@@ -232,9 +241,9 @@ def _tag_pattern_counts(times, aorder, worder, tagged) -> np.ndarray:
     return np.bincount(codes, minlength=1 << n)
 
 
-def _last_tag_values(t, times, aorder, worder, tagged) -> np.ndarray:
+def _last_tag_values(t, times, aorder, worder, tagged) -> list:
     vals = engine.batch_last_tag_time(times, tagged, t)
-    return vals[~np.isnan(vals)]
+    return [vals[~np.isnan(vals)]]  # a list: adding pieces joins them in row order
 
 
 def _pinned_hits(p, pins, times, aorder, worder, tagged) -> np.ndarray:
@@ -253,7 +262,7 @@ def threshold_sweep(
 ) -> list[Estimate]:
     """One Estimate per threshold, all sharing the same trials.
 
-    Common random numbers: the tag matrices are computed once per chunk and
+    Common random numbers: each piece's tag matrix is computed once and
     re-thresholded, so sweep curves are smooth in tau by construction.
     """
     engine.check_sim_cap(p.n)
@@ -438,7 +447,7 @@ def _last_tag_check(p: Poset, t: float, alpha: float) -> tuple:
         raise ValueError(f"t must lie in (0, 1], got {t}")
 
     def report(tallies):
-        values = np.concatenate(tallies) / t
+        values = np.concatenate([v for samples in tallies for v in samples]) / t
         if values.size == 0:
             raise ValueError("no trial had an arrival before t; increase trials")
         ks, pval = pvalues.ks_uniform(values)

@@ -58,7 +58,7 @@ class Trial:
         if times.size == 0:
             raise ValueError("a trial needs at least one element")
         for name, arr in (("arrival_times", times), ("weights", weights)):
-            if ((arr < 0) | (arr > 1)).any():
+            if not ((arr >= 0) & (arr <= 1)).all():  # NaN fails both compares
                 raise ValueError(f"{name} must lie in [0, 1]")
         times.setflags(write=False)
         weights.setflags(write=False)

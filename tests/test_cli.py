@@ -231,8 +231,9 @@ class TestVerify:
         _, out, _ = run("verify", "wedge", "--lemma", "5", *self.ARGS, "--format", "csv")
         assert out.splitlines()[0] == "statistic,observed,reference,p_value,passed,sample_size"
 
-    def test_lemma_2_tallies_tag_pairs_once_per_chunk(self, run, monkeypatch):
-        # the marginal and independence checks share one tally per chunk
+    def test_lemma_2_tallies_tag_pairs_once_per_piece(self, run, monkeypatch):
+        # the marginal and independence checks share one tally, so the pair
+        # count runs once per piece of rows, not once per check
         calls = []
 
         def counted(*args, _fn=montecarlo._tag_pair_counts):
@@ -243,7 +244,8 @@ class TestVerify:
         code, out, _ = run("verify", "wedge", "--lemma", "2", "--trials",
                            str(engine.CHUNK_TRIALS + 1), "--workers", "1")
         assert code == 0 and len(json.loads(out)["results"]["checks"]) == 6
-        assert len(calls) == 2  # two chunks
+        # 16 pieces of 2048 rows, then the second chunk's one row
+        assert len(calls) == engine.CHUNK_TRIALS // engine._SUB_BATCH + 1 == 17
 
     def test_lemma_4_passes_the_pinned_scan(self, run):
         assert run(*self.PINNED)[0] == 0

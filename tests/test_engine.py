@@ -2,7 +2,11 @@
 reference in simulate / greedy — same tags, same acceptances, same RNG stream
 regardless of chunking."""
 
+import os
 import pickle
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +103,11 @@ def assert_matches_reference(p, times, weights):
         assert [bool(tagged[b, e.element]) for e in evs] == [e.tagged for e in evs], (p, b)
 
 
+def piece_rows(rows):
+    """The row ranges of a chunk's pieces: _SUB_BATCH rows each, the last one short."""
+    return [range(lo, min(lo + _SUB_BATCH, rows)) for lo in range(0, rows, _SUB_BATCH)]
+
+
 class TestChunking:
     def test_layout_partitions_trials(self):
         layout = chunk_layout(2 * CHUNK_TRIALS + 17)
@@ -127,9 +136,9 @@ class TestChunking:
         for seed in (99, (1 << 64) - 1):
             times, weights = chunk_uniforms(6, seed, 2, rows)
             pieces = list(_chunk_pieces(6, seed, 2, rows))
-            assert [lo for lo, _, _ in pieces] == list(range(0, rows, _SUB_BATCH))
-            drawn = np.concatenate([t for _, t, _ in pieces])
-            keys = np.concatenate([k for _, _, k in pieces])
+            assert [len(t) for t, _ in pieces] == [len(r) for r in piece_rows(rows)]
+            drawn = np.concatenate([t for t, _ in pieces])
+            keys = np.concatenate([k for _, k in pieces])
             assert drawn.dtype == np.float64 and keys.dtype == np.uint64
             assert np.array_equal(drawn.view(np.uint64), times.view(np.uint64))
             # a key is the uniform's 53 bits above the element's index
@@ -286,14 +295,42 @@ class TestChunkTags:
     )
     @pytest.mark.parametrize("rows", [CHUNK_TRIALS, 3 * _SUB_BATCH + 17, 5])
     def test_equals_the_kernel_on_the_whole_chunk_draw(self, p, rows):
+        # the pieces, in row order, stack up to the kernel's whole-chunk output
         times, weights = chunk_uniforms(p.n, 8, 3, rows)
         want = (times, _stable_argsort(times), *batch_tag_matrix(p, times, weights))
-        got = chunk_tags(p, 8, 3, rows)
-        assert [a.dtype for a in got] == [np.float64, np.uint8, np.uint8, bool]
+        pieces = list(chunk_tags(p, 8, 3, rows))
+        assert [len(piece[0]) for piece in pieces] == [len(r) for r in piece_rows(rows)]
+        for piece in pieces:
+            assert [a.dtype for a in piece] == [np.float64, np.uint8, np.uint8, bool]
+            assert len({a.shape for a in piece}) == 1
+        got = [np.concatenate(a) for a in zip(*pieces)]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         for b in (0, rows // 2, rows - 1):
             assert got[2][b].tolist() == series_order(p, Trial(times[b], weights[b]))
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_a_warm_chunk_pass_takes_back_the_pages_its_pieces_freed(self):
+        # in a fresh process, where no large block has raised glibc's dynamic
+        # trim threshold, each antichain:64 piece frees more than that
+        # threshold; unpinned, glibc hands it back and the next piece faults
+        # it in again, about 23000 minor faults per chunk
+        code = (
+            "import resource\n"
+            "from poset_secretary.engine import CHUNK_TRIALS, chunk_tags\n"
+            "from poset_secretary.families import antichain\n"
+            "def faults(chunk):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    for _ in chunk_tags(antichain(64), 0, chunk, CHUNK_TRIALS):\n"
+            "        pass\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "faults(0)\n"
+            "print(faults(1))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                             check=True).stdout
+        assert int(out) < 1000
 
 
 class TestSimCap:

@@ -268,17 +268,19 @@ class TestIndependence:
     @pytest.mark.parametrize("p", [random_poset(8, 0.3, seed=42), random_poset(12, 0.3, seed=4)])
     def test_tallies_equal_the_counts_built_per_trial(self, p):
         # the pair and pattern tallies read the flags in the kernel's arrival
-        # order; the reference rebuilds every row's flags from tag_sequence
+        # order and add over the chunk's two pieces; the reference rebuilds
+        # every row's flags from tag_sequence
         seed, chunk, rows = 5, 2, engine._SUB_BATCH + 5
-        tags = engine.chunk_tags(p, seed, chunk, rows)
+        reducers = (montecarlo._tag_pair_counts, montecarlo._tag_pattern_counts)
+        pairs, pattern = montecarlo._tag_chunk(p, reducers, seed, chunk, rows)
         times, weights = engine.chunk_uniforms(p.n, seed, chunk, rows)
         flags = np.array(
             [[e.tagged for e in tag_sequence(p, Trial(t, w))] for t, w in zip(times, weights)],
             dtype=np.int64,
         )
-        assert np.array_equal(montecarlo._tag_pair_counts(*tags), flags.T @ flags)
+        assert np.array_equal(pairs, flags.T @ flags)
         patterns = np.bincount(flags @ (1 << np.arange(p.n)), minlength=1 << p.n)
-        assert np.array_equal(montecarlo._tag_pattern_counts(*tags), patterns)
+        assert np.array_equal(pattern, patterns)
 
     def test_joint_pattern_law(self):
         for p in (chain(1), antichain(4), random_poset(5, 0.5, seed=7)):
@@ -291,6 +293,20 @@ class TestIndependence:
 
 
 class TestLastTagUniform:
+    @pytest.mark.parametrize("t", LAST_TAG_TIMES)
+    def test_a_chunk_tally_is_its_samples_in_row_order(self, t):
+        # two pieces, joined in row order: the kernel's values on the whole
+        # chunk draw, the trials with no arrival before t left out
+        p, seed, chunk, rows = random_poset(8, 0.3, seed=42), 5, 2, engine._SUB_BATCH + 5
+        reducers = (partial(montecarlo._last_tag_values, t),)
+        [samples] = montecarlo._tag_chunk(p, reducers, seed, chunk, rows)
+        times, weights = engine.chunk_uniforms(p.n, seed, chunk, rows)
+        _, tagged = batch_tag_matrix(p, times, weights)
+        want = engine.batch_last_tag_time(times, tagged, t)
+        assert len(samples) == 2
+        got = np.concatenate(samples)
+        assert np.array_equal(got.view(np.uint64), want[~np.isnan(want)].view(np.uint64))
+
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_uniform_on_null(self, t):
         rep = verify_last_tag_uniform(boolean_lattice(2), t, TRIALS, master_seed=2)
@@ -484,13 +500,15 @@ class TestVerifyLemmas:
 
 class TestChunkFootprint:
     @pytest.mark.parametrize("p", [chain(20), antichain(64)])
-    def test_a_chunk_pass_peaks_below_twice_its_times(self, p):
-        # the chunk keeps float64 times, a uint8 weight order and bool tags;
-        # the weights and every float64 temporary, the pinned scans' included,
-        # live one sub-batch at a time
+    def test_a_chunk_pass_peaks_below_one_chunk_of_float64_times(self, p):
+        # every reducer kind takes the chunk one piece at a time, so no array
+        # of the chunk's size is built: the peak is the piece's temporaries
+        # and the tallies, below what the chunk's times alone would take
         pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
         reducers = (
-            partial(montecarlo._success_counts, p.is_maximal, (0.3679,)),
+            partial(montecarlo._success_counts, p.is_maximal, (0.25, 0.3679)),
+            montecarlo._tag_pair_counts,
+            *(partial(montecarlo._last_tag_values, t) for t in LAST_TAG_TIMES),
             partial(montecarlo._pinned_hits, p, pins),
             # empirical_greedy_max's reducer: every maximal element pinned at 1
             partial(montecarlo._pinned_hits, p, [(x, 1.0) for x in sorted(p.maximal)]),
@@ -501,7 +519,7 @@ class TestChunkFootprint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * CHUNK_TRIALS * p.n * np.dtype(np.float64).itemsize
+        assert peak < CHUNK_TRIALS * p.n * np.dtype(np.float64).itemsize
 
 
 class TestDeterminismAcrossChunks:
@@ -517,9 +535,8 @@ class TestDeterminismAcrossChunks:
 
 
 class TestPoolSize:
-    def test_the_pool_has_no_more_workers_than_chunks(self, monkeypatch):
-        sizes = []
-
+    @staticmethod
+    def inline_pool(sizes):
         class InlinePool:
             """Stands in for ProcessPoolExecutor: records its size, runs tasks in-process."""
 
@@ -537,13 +554,39 @@ class TestPoolSize:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        return InlinePool
+
+    def test_the_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self.inline_pool(sizes))
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         trials = 2 * CHUNK_TRIALS + 4464  # three chunks
         got = _run_chunks(lambda c, rows: (c, rows), trials, workers=64)
         assert got == engine.chunk_layout(trials)
         assert _run_chunks(lambda c, rows: (c, rows), trials, workers=2) == got
         assert sizes == [3, 2]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus,sizes", [({5, 7}, [2]), ({3}, [])])
+    def test_the_pool_has_no_more_workers_than_usable_cpus(self, monkeypatch, cpus, sizes):
+        pools = []
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self.inline_pool(pools))
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: cpus)
+        trials = 40 * CHUNK_TRIALS  # forty chunks: one CPU runs them in-process
+        got = _run_chunks(lambda c, rows: (c, rows), trials, workers=100_000)
+        assert got == engine.chunk_layout(trials)
+        assert pools == sizes
+        assert multiprocessing.active_children() == []
+
+    def test_without_an_affinity_set_the_cpu_count_caps_the_pool(self, monkeypatch):
+        pools = []
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self.inline_pool(pools))
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        for count, size in [(3, [3]), (None, [])]:  # an unknown count is one CPU
+            pools.clear()
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: count)
+            assert _run_chunks(lambda c, rows: c, 5 * CHUNK_TRIALS, workers=8) == [0, 1, 2, 3, 4]
+            assert pools == size
 
 
 def _placement(chunk, rows):

@@ -36,6 +36,11 @@ class TestTrial:
             trial([1.2], [0.5])
         with pytest.raises(ValueError):
             trial([0.5], [-0.1])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="arrival_times must lie in"):
+                trial([bad, 0.5, 0.2], [0.1, 0.2, 0.3])
+            with pytest.raises(ValueError, match="weights must lie in"):
+                trial([0.1, 0.2, 0.3], [0.1, bad, 0.3])
 
     def test_arrays_locked(self):
         t = trial([0.1, 0.9], [0.5, 0.6])
