@@ -500,6 +500,25 @@ class TestVerifyLemmas:
 
 class TestChunkFootprint:
     @pytest.mark.parametrize("p", [chain(20), antichain(64)])
+    def test_a_chunk_pass_peaks_below_twice_its_times(self, p):
+        # the bound a pass held while it kept the chunk's float64 times: the
+        # success, lemma-4 and greedy reducers stay well inside it
+        pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
+        reducers = (
+            partial(montecarlo._success_counts, p.is_maximal, (0.3679,)),
+            partial(montecarlo._pinned_hits, p, pins),
+            # empirical_greedy_max's reducer: every maximal element pinned at 1
+            partial(montecarlo._pinned_hits, p, [(x, 1.0) for x in sorted(p.maximal)]),
+        )
+        tracemalloc.start()
+        try:
+            montecarlo._tag_chunk(p, reducers, 0, 0, CHUNK_TRIALS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * CHUNK_TRIALS * p.n * np.dtype(np.float64).itemsize
+
+    @pytest.mark.parametrize("p", [chain(20), antichain(64)])
     def test_a_chunk_pass_peaks_below_one_chunk_of_float64_times(self, p):
         # every reducer kind takes the chunk one piece at a time, so no array
         # of the chunk's size is built: the peak is the piece's temporaries
