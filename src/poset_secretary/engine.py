@@ -11,9 +11,9 @@ parameters, master seed) and workers only decide who computes which chunk,
 never what comes out.  A chunk may be drawn in consecutive pieces of rows:
 the stream continues where the last piece ended, so the pieces are
 bit-identical to one whole-chunk draw.  chunk_tags yields a chunk in such
-pieces of _SUB_BATCH rows, each tagged: float64 times, the uint8 arrival
-and series orders (n <= SIM_CAP) and the bool tag matrix, each (m, n), so
-no array of the chunk's size is built.
+pieces of _SUB_BATCH rows, each a Piece whose uint8 arrival and series
+orders and bool tag matrix, each (m, n) like its float64 times, are built
+on first read: a pass builds only what it reads, and nothing chunk-sized.
 
 The tag matrix gives the same flags as simulate.tag_sequence without running
 its greedy scan once per arrival prefix.  It is element-major: tagged[b, x]
@@ -41,18 +41,18 @@ and (a) holds.  A post shares its part with nothing, so it passes (a)
 outright: on a chain every element is a post, and a chain's tags are (b)
 alone.
 
-Key rule: chunk_tags orders elements by the keys (word >> 11) << 6 | x,
+Key rule: a Piece orders elements by the keys (word >> 11) << 6 | x,
 unique in a row and ascending as the stable order does (by value, then by
 index), so one uint64 sort gives the arrival order and one more gives the
 weight order, and no tie needs a check.  Weight keys also carry the
 element's series rank in their top 5 bits: blocks 0..q-1 bottom to top and
 posts 31 (q <= 32, as each block has two elements or more, and q = 32 leaves
 no post).  The one weight sort so gives the series order: each block
-lightest first, bottom to top, then the posts lightest first.  A poset of
-one series part leaves its keys without ranks, as every rank would be
-equal, and its series order is the stable weight order.  batch_tag_matrix
-takes any floats: it uses the stable argsort for both orders and a stable
-argsort by rank for the series order.
+lightest first, bottom to top, then the posts lightest first.  Equal ranks
+leave every key order unchanged, so a poset of one series part needs no
+case of its own.  batch_tag_matrix takes any floats: it uses the stable
+argsort for the arrival order and one stable lexsort by (rank, weight) for
+the series order.
 
 Elements are bits of the smallest unsigned dtype that holds n of them, which
 caps simulation at SIM_CAP elements.  seen[x] is the mask of the elements
@@ -87,7 +87,7 @@ greedy maximum: batch_greedy_maximum is that pin.
 from __future__ import annotations
 
 import ctypes
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -101,11 +101,11 @@ __all__ = [
     "check_sim_cap",
     "chunk_layout",
     "chunk_uniforms",
+    "Piece",
     "chunk_tags",
     "batch_tag_matrix",
     "batch_accept",
     "batch_last_tag_time",
-    "tags_by_arrival",
     "batch_pinned_tags",
     "batch_greedy_maximum",
 ]
@@ -171,19 +171,16 @@ def _key_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _chunk_pieces(
-    n: int, master_seed: int, chunk_index: int, rows: int, ranks: np.ndarray | None = None
-):
+def _chunk_pieces(n: int, master_seed: int, chunk_index: int, rows: int, ranks: np.ndarray):
     """Yield (times, keys) of one canonical chunk, _SUB_BATCH rows at a time, in row order.
 
     A piece's times (m, n) equal its rows of chunk_uniforms' times bit for
     bit, and its order keys (m, 2n) are the same rows' times, then weights.
-    ranks, when given, holds each element's series rank already shifted
-    into the weight keys' top bits.
+    ranks holds each element's series rank already shifted into the weight
+    keys' top bits.
     """
     tail = np.tile(np.arange(n, dtype=np.uint64), 2)
-    if ranks is not None:
-        tail[n:] |= ranks
+    tail[n:] |= ranks
     bitgen = _philox(master_seed, chunk_index).bit_generator
     for lo in range(0, rows, _SUB_BATCH):
         words = bitgen.random_raw((min(_SUB_BATCH, rows - lo), 2 * n))
@@ -230,17 +227,10 @@ def _kernel_tables(
     return bits, np.array(p.above_masks, dtype=dtype), blocks, posts
 
 
-def _series_ranks(p: Poset) -> np.ndarray | None:
-    """Each element's series rank, shifted into the weight keys' top bits.
-
-    None when p is one series part: every rank is equal, so the keys go
-    without them and the series order is the stable weight order.
-    """
-    parts = p.series_parts
-    if len(parts) == 1:
-        return None
+def _series_ranks(p: Poset) -> np.ndarray:
+    """Each element's series rank, shifted into the weight keys' top bits."""
     ranks = np.full(p.n, _POST_RANK, dtype=np.uint64)
-    for rank, block in enumerate(part for part in parts if len(part) > 1):
+    for rank, block in enumerate(part for part in p.series_parts if len(part) > 1):
         ranks[list(block)] = rank
     return ranks << np.uint64(53 + _INDEX_BITS)
 
@@ -270,15 +260,11 @@ def batch_tag_matrix(
     arrived so far.  Raises TooLargeError when p.n exceeds SIM_CAP.
     """
     tables = _kernel_tables(p)
-    ranks = _series_ranks(p)
-    worder = np.empty(times.shape, dtype=np.uint8)  # n <= SIM_CAP
+    ranks = np.broadcast_to(_series_ranks(p), weights.shape)
+    worder = np.lexsort((weights, ranks)).astype(np.uint8)  # stable; n <= SIM_CAP
     tagged = np.empty(times.shape, dtype=bool)
     for lo in range(0, times.shape[0], _SUB_BATCH):
         rows = slice(lo, lo + _SUB_BATCH)
-        wo = _stable_argsort(weights[rows])
-        if ranks is not None:  # a stable sort by rank keeps each part's weight order
-            wo = np.take_along_axis(wo, _stable_argsort(ranks[wo]), axis=1)
-        worder[rows] = wo
         tagged[rows] = _tag_sub_batch(*tables, _stable_argsort(times[rows]), worder[rows])
     return worder, tagged
 
@@ -301,26 +287,50 @@ def _keep_freed_heap() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice that, as the rule sets it
 
 
-def chunk_tags(
-    p: Poset, master_seed: int, chunk_index: int, rows: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (times, aorder, worder, tagged) of one canonical chunk, one piece at a time.
+class Piece:
+    """One piece of a canonical chunk, its fields built on first read and kept.
 
-    Pieces hold at most _SUB_BATCH rows, in row order; stacked, they equal
-    chunk_uniforms' times, their stable arrival order and batch_tag_matrix
-    on its output (worder is the series order).  Raises TooLargeError when
-    p.n exceeds SIM_CAP at the call, before anything is drawn.
+    times, float64 (m, n), is drawn with the piece.  aorder and worder, uint8
+    (m, n), are each row's stable arrival order and series order; tagged,
+    bool (m, n), is the element-major tag matrix; arrival_tags, bool (n, m),
+    is tagged in arrival order, row k holding every trial's k-th arrival.
+    """
+
+    def __init__(self, tables: tuple, times: np.ndarray, keys: np.ndarray):
+        self._tables = tables
+        self.times = times
+        self._keys = keys
+
+    @cached_property
+    def aorder(self) -> np.ndarray:
+        return _key_order(self._keys[:, :self.times.shape[1]])
+
+    @cached_property
+    def worder(self) -> np.ndarray:
+        return _key_order(self._keys[:, self.times.shape[1]:])
+
+    @cached_property
+    def tagged(self) -> np.ndarray:
+        blocks = self._tables[2]  # test (a) reads the series order, and runs only in blocks
+        return _tag_sub_batch(*self._tables, self.aorder, self.worder if blocks else None)
+
+    @cached_property
+    def arrival_tags(self) -> np.ndarray:
+        # one flat take, half the time of take_along_axis
+        return self.tagged.take(_columns(self.aorder)[1])
+
+
+def chunk_tags(p: Poset, master_seed: int, chunk_index: int, rows: int) -> Iterator[Piece]:
+    """Yield one canonical chunk as Pieces of at most _SUB_BATCH rows, in row order.
+
+    Stacked, the pieces' fields equal chunk_uniforms' times, their stable
+    arrival order and batch_tag_matrix on its output.  Raises TooLargeError
+    when p.n exceeds SIM_CAP at the call, before anything is drawn.
     """
     tables = _kernel_tables(p)
-    n = p.n
     _keep_freed_heap()
-
-    def tag(times, keys):
-        aorder, worder = _key_order(keys[:, :n]), _key_order(keys[:, n:])
-        return times, aorder, worder, _tag_sub_batch(*tables, aorder, worder)
-
-    pieces = _chunk_pieces(n, master_seed, chunk_index, rows, _series_ranks(p))
-    return (tag(times, keys) for times, keys in pieces)
+    pieces = _chunk_pieces(p.n, master_seed, chunk_index, rows, _series_ranks(p))
+    return (Piece(tables, times, keys) for times, keys in pieces)
 
 
 def _seen(ao: np.ndarray, dtype: type) -> np.ndarray:
@@ -346,15 +356,15 @@ def _tag_sub_batch(
     blocks: tuple[tuple[int, int], ...],
     posts: np.integer,
     ao: np.ndarray,
-    wo: np.ndarray,
+    wo: np.ndarray | None,
 ) -> np.ndarray:
     """Tag flags (rows, n) of one sub-batch from its arrival and series orders.
 
     ao and wo are (rows, n) permutations: ao earliest first, wo the series
     order, whose positions blocks[i] = (start, stop) hold block i lightest
     first and whose later positions hold the posts, the elements of the
-    mask posts.  Work arrays are (positions, rows), so each step's slice is
-    contiguous.
+    mask posts; wo is read only when there is a block.  Work arrays are
+    (positions, rows), so each step's slice is contiguous.
     """
     dtype = up.dtype.type
     seen = _seen(ao, dtype)
@@ -410,12 +420,6 @@ def batch_last_tag_time(times: np.ndarray, tagged: np.ndarray, t: float) -> np.n
     return last
 
 
-def tags_by_arrival(aorder: np.ndarray, tagged: np.ndarray) -> np.ndarray:
-    """tagged read in the arrival order aorder, as (n, rows): row k holds every
-    trial's k-th arrival.  One flat take, half the time of take_along_axis."""
-    return tagged.take(_columns(aorder)[1])
-
-
 def _passed_mask(bitw: np.ndarray, upw: np.ndarray, member: np.ndarray) -> np.ndarray:
     """Bit e of row b: e's bit is in the running up-mask when the scan reaches e.
 
@@ -455,7 +459,7 @@ def batch_pinned_tags(
     one scan of {y : time_y < t} serves every pin at t; a time equal to t
     (quantised inputs) gives each pin at that t its own scan.
 
-    worder may be the stable weight order or chunk_tags' series order, with
+    worder may be the stable weight order or a Piece's worder, with
     the same flags: every maximal element lies in the top series part T,
     and before x either order lists only lower parts and T's members
     lighter than x, in weight order.  The scan's first take in T lies above

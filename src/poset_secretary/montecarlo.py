@@ -7,16 +7,15 @@ is purely a speed knob.  Verification checks default to alpha=0.001 per
 test, with no family-wise control, so a suite of dozens of tests flags a
 correct implementation far more often than alpha.
 
-One pass per chunk: each canonical chunk is drawn and tagged once, piece
-by piece (_tag_chunk, through engine.chunk_tags), and every statistic is a
-reducer of each piece's (times, aorder, worder, tagged): the arrival times,
-each row's stable arrival and series orders and the element-major tag
-flags.  Its tallies add over the pieces into one per chunk.  Acceptance
-and last-tag times read tagged elements' times directly; only the lemma-2
-checks, which count by arrival position, read the flags in the arrival order
-the kernel sorted (engine.tags_by_arrival).  Lemma 4's pinned check reads
-no tag flags: engine.batch_pinned_tags runs one bitmask scan over the
-kernel's series order per pinned time, shared by every maximal element.
+One pass per chunk: each canonical chunk is drawn once, piece by piece
+(_tag_chunk, through engine.chunk_tags), and every statistic is a reducer
+that reads only the engine.Piece fields it needs, so a pass builds only
+those.  Tallies add over the pieces into one per chunk.  Acceptance and
+last-tag times read tagged elements' times directly; the lemma-2 checks,
+which count by arrival position, read Piece.arrival_tags.  Lemma 4's
+pinned check reads no tag flags, so it runs no tag kernel:
+engine.batch_pinned_tags runs one bitmask scan over the piece's series
+order per pinned time, shared by every maximal element.
 empirical_greedy_max is that check at t = 1: a maximal element pinned after
 every other arrival is tagged iff it is the greedy maximum.  Every scan
 lives in engine, and this module calls only its public names.  Every
@@ -186,10 +185,10 @@ def _tag_chunk(
     """Draw and tag one canonical chunk; one tally per reducer, added over its pieces."""
     pieces = engine.chunk_tags(p, master_seed, chunk, rows)
     # a chunk has rows; its first piece starts every tally and is not kept
-    tallies = [reduce(*piece) for piece in [next(pieces)] for reduce in reducers]
+    tallies = [reduce(piece) for piece in [next(pieces)] for reduce in reducers]
     for piece in pieces:
         for tally, reduce in zip(tallies, reducers):
-            tally += reduce(*piece)  # in place: an array adds, a list extends
+            tally += reduce(piece)  # in place: an array adds, a list extends
     return tallies
 
 
@@ -214,40 +213,37 @@ def _run_checks(
     return reports
 
 
-# -- reducers: (times, aorder, worder, tagged) of one piece -> tally -----------
-# tagged is element-major (see engine.batch_tag_matrix); only the lemma-2
-# reducers, which count by arrival position, read it in arrival order
-# (engine.tags_by_arrival), and lemma 4's reads (times, worder) alone.
+# -- reducers: one engine.Piece -> tally, reading its fields by name -----------
 # Module-level functions bound with partial, so they pickle for the pool.
 
 
-def _success_counts(is_maximal, taus, times, aorder, worder, tagged) -> np.ndarray:
+def _success_counts(is_maximal, taus, piece: engine.Piece) -> np.ndarray:
     out = np.empty(len(taus), dtype=np.int64)
     for i, tau in enumerate(taus):
-        _, success = engine.batch_accept(times, tagged, tau, is_maximal)
+        _, success = engine.batch_accept(piece.times, piece.tagged, tau, is_maximal)
         out[i] = int(success.sum())
     return out
 
 
-def _tag_pair_counts(times, aorder, worder, tagged) -> np.ndarray:
+def _tag_pair_counts(piece: engine.Piece) -> np.ndarray:
     # float64 runs on BLAS and is exact: a piece's counts stay far below 2^53
-    flags = engine.tags_by_arrival(aorder, tagged).astype(np.float64)
+    flags = piece.arrival_tags.astype(np.float64)
     return (flags @ flags.T).astype(np.int64)
 
 
-def _tag_pattern_counts(times, aorder, worder, tagged) -> np.ndarray:
-    n = tagged.shape[1]
-    codes = (1 << np.arange(n, dtype=np.int64)) @ engine.tags_by_arrival(aorder, tagged)
-    return np.bincount(codes, minlength=1 << n)
+def _tag_pattern_counts(piece: engine.Piece) -> np.ndarray:
+    flags = piece.arrival_tags
+    codes = (1 << np.arange(len(flags), dtype=np.int64)) @ flags
+    return np.bincount(codes, minlength=1 << len(flags))
 
 
-def _last_tag_values(t, times, aorder, worder, tagged) -> list:
-    vals = engine.batch_last_tag_time(times, tagged, t)
+def _last_tag_values(t, piece: engine.Piece) -> list:
+    vals = engine.batch_last_tag_time(piece.times, piece.tagged, t)
     return [vals[~np.isnan(vals)]]  # a list: adding pieces joins them in row order
 
 
-def _pinned_hits(p, pins, times, aorder, worder, tagged) -> np.ndarray:
-    return np.count_nonzero(engine.batch_pinned_tags(p, pins, times, worder), axis=1)
+def _pinned_hits(p, pins, piece: engine.Piece) -> np.ndarray:
+    return np.count_nonzero(engine.batch_pinned_tags(p, pins, piece.times, piece.worder), axis=1)
 
 
 # -- estimation ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from poset_secretary.engine import (
     SIM_CAP,
     _SUB_BATCH,
     _chunk_pieces,
+    _series_ranks,
     _stable_argsort,
     batch_accept,
     batch_greedy_maximum,
@@ -133,16 +134,23 @@ class TestChunking:
 
     @pytest.mark.parametrize("rows", [CHUNK_TRIALS, 3 * _SUB_BATCH + 17])
     def test_pieces_are_the_chunk_draw_bit_for_bit(self, rows):
+        # two blocks and two posts: the elements rank 0, 0, 31, 31, 1, 1
+        ranks = _series_ranks(ordinal_sum(antichain(2), chain(1), wedge()))
+        top = np.uint64(59)  # a rank sits above 53 value bits and 6 index bits
         for seed in (99, (1 << 64) - 1):
             times, weights = chunk_uniforms(6, seed, 2, rows)
-            pieces = list(_chunk_pieces(6, seed, 2, rows))
+            pieces = list(_chunk_pieces(6, seed, 2, rows, ranks))
             assert [len(t) for t, _ in pieces] == [len(r) for r in piece_rows(rows)]
             drawn = np.concatenate([t for t, _ in pieces])
             keys = np.concatenate([k for _, k in pieces])
             assert drawn.dtype == np.float64 and keys.dtype == np.uint64
             assert np.array_equal(drawn.view(np.uint64), times.view(np.uint64))
-            # a key is the uniform's 53 bits above the element's index
-            assert np.array_equal(((keys >> 6) * 2.0**-53).view(np.uint64),
+            # a key is the uniform's 53 bits above the element's index, and a
+            # weight key carries the element's series rank above both
+            assert np.array_equal(keys >> top << top,
+                                  np.broadcast_to(np.r_[np.zeros(6, np.uint64), ranks], keys.shape))
+            value = keys & ((np.uint64(1) << top) - np.uint64(1))
+            assert np.array_equal(((value >> 6) * 2.0**-53).view(np.uint64),
                                   np.hstack([times, weights]).view(np.uint64))
             assert np.array_equal(keys & 63, np.broadcast_to(np.tile(np.arange(6), 2), keys.shape))
 
@@ -283,6 +291,8 @@ class TestSeriesParts:
 
 
 class TestChunkTags:
+    FIELDS = ("times", "aorder", "worder", "tagged")
+
     @pytest.mark.parametrize(
         "p",
         [
@@ -291,6 +301,8 @@ class TestChunkTags:
             relabelled(random_poset(20, 0.5, seed=1), seed=1),
             top_down(BLOCKS_31_POSTS),
             relabelled(BLOCKS_32, seed=2),
+            chain(1),  # one post
+            antichain(64),  # one block
         ],
     )
     @pytest.mark.parametrize("rows", [CHUNK_TRIALS, 3 * _SUB_BATCH + 17, 5])
@@ -298,7 +310,12 @@ class TestChunkTags:
         # the pieces, in row order, stack up to the kernel's whole-chunk output
         times, weights = chunk_uniforms(p.n, 8, 3, rows)
         want = (times, _stable_argsort(times), *batch_tag_matrix(p, times, weights))
-        pieces = list(chunk_tags(p, 8, 3, rows))
+        pieces = []
+        for piece in chunk_tags(p, 8, 3, rows):
+            pieces.append([getattr(piece, f) for f in self.FIELDS])
+            # row k of arrival_tags holds every trial's flag at its k-th arrival
+            by_arrival = np.take_along_axis(piece.tagged, piece.aorder.astype(np.intp), axis=1)
+            assert np.array_equal(piece.arrival_tags, by_arrival.T)
         assert [len(piece[0]) for piece in pieces] == [len(r) for r in piece_rows(rows)]
         for piece in pieces:
             assert [a.dtype for a in piece] == [np.float64, np.uint8, np.uint8, bool]
@@ -314,15 +331,17 @@ class TestChunkTags:
         # in a fresh process, where no large block has raised glibc's dynamic
         # trim threshold, each antichain:64 piece frees more than that
         # threshold; unpinned, glibc hands it back and the next piece faults
-        # it in again, about 23000 minor faults per chunk
+        # it in again, about 23000 minor faults per chunk.  A piece that
+        # nothing reads frees only its raw words, so each piece builds its
+        # series order and tag matrix, as a pass's reducers make it do.
         code = (
             "import resource\n"
             "from poset_secretary.engine import CHUNK_TRIALS, chunk_tags\n"
             "from poset_secretary.families import antichain\n"
             "def faults(chunk):\n"
             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "    for _ in chunk_tags(antichain(64), 0, chunk, CHUNK_TRIALS):\n"
-            "        pass\n"
+            "    for piece in chunk_tags(antichain(64), 0, chunk, CHUNK_TRIALS):\n"
+            "        piece.tagged, piece.worder\n"
             "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
             "faults(0)\n"
             "print(faults(1))\n"

@@ -498,6 +498,37 @@ class TestVerifyLemmas:
             verify_lemmas(wedge(), ["2", "6"], trials=6_000)
 
 
+class TestWorkSkipped:
+    """A pass builds only the piece fields its reducers read."""
+
+    def test_a_pins_only_pass_runs_no_tag_kernel(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("ran the tag kernel for checks that read no tag flags")
+
+        monkeypatch.setattr(engine, "_tag_sub_batch", no_kernel)
+        p = random_poset(8, 0.3, seed=42)
+        assert empirical_greedy_max(p, 2_000, master_seed=0).sum() == 2_000
+        reports = verify_lemmas(p, ["4"], 2_000, master_seed=0)
+        assert len(reports) == len(p.maximal) * len(PINNED_TIMES)
+
+    def test_an_all_post_simulate_sorts_only_its_time_keys(self, monkeypatch):
+        # a chain has no block, so its tags are test (b) alone and no piece
+        # builds the series order: one key sort per piece, by arrival
+        sorted_keys = []
+
+        def recorded(keys, _fn=engine._key_order):
+            sorted_keys.append(keys)
+            return _fn(keys)
+
+        monkeypatch.setattr(engine, "_key_order", recorded)
+        rows = 2 * engine._SUB_BATCH + 5
+        estimate_success(chain(20), trials=rows, master_seed=3)
+        assert len(sorted_keys) == 3
+        times, _ = engine.chunk_uniforms(20, 3, 0, rows)
+        drawn = (np.concatenate(sorted_keys) >> 6) * 2.0**-53
+        assert np.array_equal(drawn.view(np.uint64), times.view(np.uint64))
+
+
 class TestChunkFootprint:
     @pytest.mark.parametrize("p", [chain(20), antichain(64)])
     def test_a_chunk_pass_peaks_below_twice_its_times(self, p):
