@@ -27,7 +27,7 @@ p = wedge()
 for weights in ([0.1, 0.6, 0.3], [0.5, 0.2, 0.9], [0.4, 0.9, 0.1]):
     w = WeightRanking.from_weights(weights)
     c = greedy_chain(p, w)
-    print(f"weights {weights} -> chain {c.elements}, greedy max {c.terminal}")
+    print(f"weights {weights} -> chain {c}, greedy max {c[-1]}")
 
 # The chain always climbs: weights increase strictly along it, which is why a
 # single lightest-first scan finds the same endpoint.

@@ -38,7 +38,6 @@ from .families import (
     wedge,
 )
 from .greedy import (
-    GreedyChain,
     MonotonicityReport,
     MuTable,
     WeightRanking,
@@ -81,7 +80,6 @@ __all__ = [
     "Estimate",
     "GeneratorSpec",
     "GeneratorSpecError",
-    "GreedyChain",
     "LemmaReport",
     "MonotonicityReport",
     "MuTable",

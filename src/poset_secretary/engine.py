@@ -98,6 +98,7 @@ from .posets import Poset
 __all__ = [
     "CHUNK_TRIALS",
     "SIM_CAP",
+    "check_seed",
     "check_sim_cap",
     "chunk_layout",
     "chunk_uniforms",
@@ -121,8 +122,6 @@ SIM_CAP = 64
 # so this bounds the temporaries and never changes a result.
 _SUB_BATCH = 2048
 
-_MASK64 = (1 << 64) - 1
-
 # Order keys hold a uniform's 53 bits above the element index, and weight
 # keys hold the element's series rank above both: blocks 0..q-1 bottom to
 # top, posts _POST_RANK.  A block has two or more elements, so q <= SIM_CAP/2,
@@ -134,9 +133,14 @@ assert SIM_CAP <= 1 << _INDEX_BITS and SIM_CAP // 2 <= 1 << _RANK_BITS
 assert 53 + _INDEX_BITS + _RANK_BITS <= 64
 
 
-def _philox(master_seed: int, chunk_index: int) -> np.random.Generator:
-    if not 0 <= master_seed <= _MASK64:
+def check_seed(master_seed: int) -> None:
+    """Raise ValueError unless master_seed fits the Philox key's 64-bit word."""
+    if not 0 <= master_seed < 1 << 64:
         raise ValueError(f"master seed must fit in 64 bits, got {master_seed}")
+
+
+def _philox(master_seed: int, chunk_index: int) -> np.random.Generator:
+    check_seed(master_seed)
     key = np.array([master_seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -214,9 +218,9 @@ def _kernel_tables(
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...], np.integer]:
     """(element bits, up-masks, blocks, posts) of p, in p's mask dtype.
 
-    blocks lists each block's (start, stop) positions in the series order,
-    bottom to top; the posts fill the positions after the last block, and
-    posts is their mask.
+    Up-mask i has bit j set iff i < j.  blocks lists each block's (start,
+    stop) positions in the series order, bottom to top; the posts fill the
+    positions after the last block, and posts is their mask.
     """
     check_sim_cap(p.n)
     dtype = _mask_dtype(p.n)
@@ -224,7 +228,7 @@ def _kernel_tables(
     stops = np.cumsum([len(part) for part in p.series_parts if len(part) > 1]).tolist()
     blocks = tuple(zip([0, *stops], stops))
     posts = dtype(sum(1 << part[0] for part in p.series_parts if len(part) == 1))
-    return bits, np.array(p.above_masks, dtype=dtype), blocks, posts
+    return bits, np.bitwise_or.reduce(np.where(p.lt, bits, dtype(0)), axis=1), blocks, posts
 
 
 def _series_ranks(p: Poset) -> np.ndarray:
@@ -487,15 +491,14 @@ def batch_pinned_tags(
     return out
 
 
-def batch_greedy_maximum(lt: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Greedy maximum of the poset with strict order lt, per row of weights.
+def batch_greedy_maximum(p: Poset, weights: np.ndarray) -> np.ndarray:
+    """Greedy maximum of p, per row of weights.
 
     Equal weights go to the lowest index.  The greedy maximum is the one
     maximal element tagged when pinned at t = 1, every other element having
     arrived before it: batch_pinned_tags with all times 0 and the stable
     weight order.  Raises TooLargeError when n exceeds SIM_CAP.
     """
-    p = Poset(len(lt), lt)
     tops = np.array(sorted(p.maximal))
     times = np.broadcast_to(0.0, weights.shape)
     worder = _stable_argsort(weights).astype(np.uint8)

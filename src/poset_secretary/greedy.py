@@ -41,7 +41,6 @@ from .posets import Poset
 
 __all__ = [
     "WeightRanking",
-    "GreedyChain",
     "MuTable",
     "greedy_chain",
     "greedy_maximum",
@@ -80,17 +79,6 @@ class WeightRanking:
 
 
 @dataclass(frozen=True)
-class GreedyChain:
-    """The chain z_0 < z_1 < ... < z_m walked by the greedy recursion."""
-
-    elements: tuple[int, ...]
-
-    @property
-    def terminal(self) -> int:
-        return self.elements[-1]
-
-
-@dataclass(frozen=True)
 class MuTable:
     """Exact per-element probability of being the greedy maximum, and mu_t.
 
@@ -105,9 +93,6 @@ class MuTable:
 
     def __getitem__(self, x: int) -> Fraction:
         return self.values[x]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def mu_t(self, x: int, t) -> Fraction:
         """mu(x) conditioned on x's weight being at most t, exactly.
@@ -127,8 +112,8 @@ class MuTable:
         return (sum(integral) - sum(a * (1 - t) ** i for i, a in enumerate(integral))) / t
 
 
-def greedy_chain(p: Poset, w: WeightRanking) -> GreedyChain:
-    """Walk the greedy recursion for the given weight ranking.
+def greedy_chain(p: Poset, w: WeightRanking) -> tuple[int, ...]:
+    """The chain z_0 < z_1 < ... < z_m walked by the greedy recursion for w.
 
     Deliberately written as the literal recursion (argmin over the current
     up-set) so it can serve as the auditable reference; the vectorized paths
@@ -142,14 +127,14 @@ def greedy_chain(p: Poset, w: WeightRanking) -> GreedyChain:
     while True:
         above = np.flatnonzero(p.lt[z])
         if above.size == 0:
-            return GreedyChain(tuple(out))
+            return tuple(out)
         z = int(min(above, key=lambda y: rank[y]))
         out.append(z)
 
 
 def greedy_maximum(p: Poset, w: WeightRanking) -> int:
     """Terminal element of the greedy chain; always maximal in p."""
-    return greedy_chain(p, w).terminal
+    return greedy_chain(p, w)[-1]
 
 
 def is_tagged(p_x: Poset, x_local: int, w: WeightRanking) -> bool:

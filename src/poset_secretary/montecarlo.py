@@ -80,6 +80,7 @@ __all__ = [
 ]
 
 CONFIDENCE_DEFAULT = 0.99
+_Z = 2.5758293035489004  # the standard normal quantile at (1 + CONFIDENCE_DEFAULT) / 2
 ALPHA_DEFAULT = 0.001
 TRIALS_DEFAULT = 10**6
 JOINT_CHECK_CAP = 12  # 2^n cells; beyond this the deep check is pointless
@@ -134,12 +135,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
         raise ZeroTrialsError("need at least one trial")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    z = pvalues.normal_quantile((1.0 + CONFIDENCE_DEFAULT) / 2.0)
     p_hat = successes / trials
-    z2 = z * z
+    z2 = _Z * _Z
     denom = 1.0 + z2 / trials
     center = (p_hat + z2 / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
+    half = (_Z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
     return min(max(0.0, center - half), p_hat), max(min(1.0, center + half), p_hat)
 
 
@@ -164,8 +164,6 @@ def _run_chunks(task: Callable, trials: int, workers: int) -> list:
     """
     if trials < 1:
         raise ZeroTrialsError("need at least one trial")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     layout = engine.chunk_layout(trials)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -202,6 +200,9 @@ def _run_checks(
     of per-chunk tallies, in chunk order, into a list of results.  Checks
     that share a reducer share its tally, so it runs once per piece.
     """
+    engine.check_seed(master_seed)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not checks:
         return []
     reducers = tuple(dict.fromkeys(reduce for reduce, _ in checks))

@@ -55,11 +55,9 @@ class Poset:
             raise ValueError(f"relation matrix must be {self.n}x{self.n}")
         if lt.diagonal().any():
             raise CycleError("strict order relates an element to itself")
+        # a < b < a sets (lt @ lt)[a, a] on a clear diagonal: this checks antisymmetry too
         if ((lt @ lt) & ~lt).any():
             raise ValueError("relation matrix is not transitively closed")
-        # Antisymmetry follows from the two checks above; assert it anyway.
-        if (lt & lt.T).any():
-            raise ValueError("relation matrix is not antisymmetric")
         lt.setflags(write=False)
         object.__setattr__(self, "lt", lt)
 
@@ -76,12 +74,6 @@ class Poset:
         return frozenset(int(i) for i in np.flatnonzero(self.is_maximal))
 
     @cached_property
-    def above_masks(self) -> tuple[int, ...]:
-        """Per-element bitmask of the strictly-above set (bit j set iff i < j)."""
-        bits = 1 << np.arange(self.n, dtype=object)
-        return tuple(int((bits * self.lt[i]).sum()) for i in range(self.n))
-
-    @cached_property
     def series_parts(self) -> tuple[tuple[int, ...], ...]:
         """The connected components of the incomparability graph, bottom to top.
 
@@ -90,23 +82,15 @@ class Poset:
         a post, an element comparable to every other.  Each part lists its
         elements in ascending order.
         """
-        linked = ~(self.lt | self.lt.T)  # incomparable, or equal
-        free = np.ones(self.n, dtype=bool)
-        parts = []
-        while free.any():
-            part = np.zeros(self.n, dtype=bool)
-            part[np.argmax(free)] = True
-            while True:
-                grown = linked[part].any(axis=0)
-                if (grown == part).all():
-                    break
-                part = grown
-            free &= ~part
-            parts.append(tuple(int(x) for x in np.flatnonzero(part)))
-        # below an element lie all the lower parts and less than its own part,
-        # so any one element's count below ranks its part
-        below = self.lt.sum(axis=0)
-        return tuple(sorted(parts, key=lambda part: below[part[0]]))
+        # Listed by count below, the parts run bottom to top, each contiguous:
+        # below an element lie every lower part and less than its own part.
+        # A part ends where all listed before lie below all listed after; a
+        # cut inside a part would split its incomparability graph.
+        below = self.lt.sum(axis=0).tolist()
+        order = sorted(range(self.n), key=below.__getitem__)  # stable
+        lt = self.lt[np.ix_(order, order)]
+        cuts = [i for i in range(1, self.n) if lt[:i, i:].all()]
+        return tuple(tuple(sorted(order[a:b])) for a, b in zip([0, *cuts], [*cuts, self.n]))
 
     def __reduce__(self):
         # Rebuild through the constructor so unpickled copies are validated

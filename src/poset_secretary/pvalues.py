@@ -6,7 +6,6 @@ of special functions.  Each function here returns, bit for bit, what its
 counterpart in that subpackage returns in SciPy 1.17, by running the same
 algorithm on the same scipy.special kernels:
 
-  * normal_quantile(q)          = norm.ppf(q)
   * binom_two_sided(k, n, p)    = binomtest(k, n, p).pvalue
   * chi2_2x2(table)             = chi2_contingency(table, correction=False)[:2]
   * chi2_gof(obs, exp)          = chisquare(obs, exp)
@@ -31,12 +30,7 @@ import numpy as np
 from scipy import special
 from scipy.special import _ufuncs as _scu
 
-__all__ = ["normal_quantile", "binom_two_sided", "chi2_2x2", "chi2_gof", "ks_uniform"]
-
-
-def normal_quantile(q: float) -> float:
-    """Standard normal quantile: the inverse of its CDF at q."""
-    return float(special.ndtri(q))
+__all__ = ["binom_two_sided", "chi2_2x2", "chi2_gof", "ks_uniform"]
 
 
 # -- exact binomial test ------------------------------------------------------

@@ -276,6 +276,14 @@ class TestVerify:
     def test_bad_alpha_is_exit_3(self, run):
         assert run("verify", "wedge", "--alpha", "0", *self.ARGS)[0] == 3
 
+    # lemma 5 alone draws no chunk, so nothing that draws sees these values
+    @pytest.mark.parametrize("lemma", ["3", "4", "5"])
+    @pytest.mark.parametrize("bad", [("--seed", "-1"), ("--seed", str(1 << 64)), ("--workers", "0")],
+                             ids=["negative_seed", "seed_over_64_bits", "no_workers"])
+    def test_bad_seed_or_workers_is_exit_3(self, run, lemma, bad):
+        code, out, err = run("verify", "wedge", "--lemma", lemma, "--trials", "100", *bad)
+        assert code == 3 and out == "" and err
+
     def test_every_lemma_is_validated_before_any_draw(self, run, monkeypatch):
         def no_draws(*args):
             raise AssertionError("drew a chunk before every lemma was validated")

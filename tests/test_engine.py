@@ -16,6 +16,7 @@ from poset_secretary.engine import (
     SIM_CAP,
     _SUB_BATCH,
     _chunk_pieces,
+    _kernel_tables,
     _series_ranks,
     _stable_argsort,
     batch_accept,
@@ -176,6 +177,12 @@ class TestTagMatrix:
 class TestBitmaskKernel:
     """The one-bit-per-element kernel against the per-trial reference, across
     mask dtype boundaries, sub-batch boundaries and ties."""
+
+    def test_up_masks_hold_the_strict_up_sets(self):
+        up = _kernel_tables(wedge())[1]
+        assert up.dtype == np.uint8 and up.tolist() == [0b110, 0, 0]
+        up = _kernel_tables(chain(64))[1]  # bit 63 is the top of a uint64
+        assert up.dtype == np.uint64 and up.tolist() == [(1 << 64) - (2 << x) for x in range(64)]
 
     @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63, 64])
     @pytest.mark.parametrize("density", [0.05, 0.3, 0.8])
@@ -421,7 +428,7 @@ class TestBatchGreedyMax:
     @pytest.mark.parametrize("p", POSETS)
     def test_matches_definitional(self, p):
         _, weights = batches(p.n, 300, seed=p.n * 31)
-        got = batch_greedy_maximum(p.lt, weights)
+        got = batch_greedy_maximum(p, weights)
         for b in range(300):
             want = greedy_maximum(p, WeightRanking.from_weights(weights[b]))
             assert got[b] == want

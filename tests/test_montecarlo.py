@@ -212,7 +212,7 @@ class TestGreedyMaxSampling:
         rows = 2 * engine._SUB_BATCH + 5
         for p in (random_poset(12, 0.3, seed=4), random_poset(64, 0.1, seed=3), chain(64)):
             _, weights = engine.chunk_uniforms(p.n, 6, 0, rows)
-            got = engine.batch_greedy_maximum(p.lt, weights)
+            got = engine.batch_greedy_maximum(p, weights)
             for b in range(0, rows, 41):
                 assert got[b] == greedy_maximum(p, WeightRanking.from_weights(weights[b]))
             want = np.bincount(got, minlength=p.n)

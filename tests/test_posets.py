@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poset_secretary.errors import CycleError, EmptyPosetError
+from poset_secretary.families import random_poset
 from poset_secretary.posets import (
     Poset,
     SubsetMap,
@@ -61,6 +62,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Poset(3, lt)
 
+    def test_pair_related_both_ways_rejected(self):
+        # 0 < 1 < 0 puts 0 < 0 in the closure, so the closure check catches it
+        with pytest.raises(ValueError):
+            Poset(2, [[False, True], [True, False]])
+
     def test_matrix_is_locked_and_copied(self):
         lt = np.zeros((2, 2), dtype=bool)
         lt[0, 1] = True
@@ -94,10 +100,6 @@ class TestQueries:
         p = from_relations(4, [])
         assert p.maximal == frozenset(range(4))
 
-    def test_above_masks(self):
-        p = from_relations(3, [(0, 1), (0, 2)])
-        assert p.above_masks == (0b110, 0, 0)
-
 
 def antichain_sum(*sizes):
     """Antichains of the given sizes stacked bottom to top, labelled upward."""
@@ -130,6 +132,12 @@ class TestSeriesParts:
         cube = from_relations(8, subsets)
         assert cube.series_parts == ((0,), (1, 2, 3, 4, 5, 6), (7,))
         assert from_relations(3, [(0, 1), (0, 2)]).series_parts == ((0,), (1, 2))
+
+    def test_random_posets_at_the_simulation_cap(self):
+        # the parts the incomparability-graph search found
+        sizes = [len(part) for part in random_poset(64, 0.5, 1).series_parts]
+        assert sizes == [29, 1, 1, 1, 1, 2, 1, 23, 1, 1, 3]
+        assert [len(part) for part in random_poset(64, 0.1, 3).series_parts] == [64]
 
     def test_ordinal_sum_of_antichains_and_its_relabelling(self):
         p = antichain_sum(2, 1, 3, 1, 2)

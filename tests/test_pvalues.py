@@ -1,6 +1,7 @@
 """Every pvalues function is bit-identical to its scipy.stats counterpart.
 
-scipy.stats is imported here only as the oracle.  The inputs reach every
+So is montecarlo's Wilson-interval quantile, kept as a constant.  scipy.stats
+is imported here only as the oracle.  The inputs reach every
 branch of each algorithm: both sides of the binomial mode and the support
 ends, and each of the KS survival function's methods and cut-offs.
 """
@@ -9,16 +10,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poset_secretary import pvalues
+from poset_secretary import montecarlo, pvalues
 
 
 def same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-@pytest.mark.parametrize("q", [0.95, 0.995, 0.9995, 0.5, 0.001, 1e-12])
-def test_normal_quantile(q):
-    assert same_bits(pvalues.normal_quantile(q), stats.norm.ppf(q))
+def test_wilson_z_is_the_normal_quantile():
+    assert same_bits(montecarlo._Z, stats.norm.ppf((1 + montecarlo.CONFIDENCE_DEFAULT) / 2))
 
 
 @pytest.mark.parametrize(
