@@ -11,9 +11,10 @@ parameters, master seed) and workers only decide who computes which chunk,
 never what comes out.  A chunk may be drawn in consecutive pieces of rows:
 the stream continues where the last piece ended, so the pieces are
 bit-identical to one whole-chunk draw.  chunk_tags yields a chunk in such
-pieces of _SUB_BATCH rows, each a Piece whose uint8 arrival and series
-orders and bool tag matrix, each (m, n) like its float64 times, are built
-on first read: a pass builds only what it reads, and nothing chunk-sized.
+pieces of _SUB_BATCH rows, each a Piece that holds only its raw words: its
+order keys, float64 times, uint8 arrival and series orders, bool tag matrix
+and tag keys are built on first read, so a pass builds only what it reads,
+and nothing chunk-sized.
 
 The tag matrix gives the same flags as simulate.tag_sequence without running
 its greedy scan once per arrival prefix.  It is element-major: tagged[b, x]
@@ -53,6 +54,30 @@ leave every key order unchanged, so a poset of one series part needs no
 case of its own.  batch_tag_matrix takes any floats: it uses the stable
 argsort for the arrival order and one stable lexsort by (rank, weight) for
 the series order.
+
+Post rule: on a poset with no block, every series part is a post, so the
+poset is a chain e_0 < e_1 < ... < e_{n-1} (in any labelling), and its tags
+need no sort.  Each e_k passes (a) (series rule), and the elements above
+e_k are e_{k+1}, ..., e_{n-1}, so by (b) e_k is tagged iff its time key is
+below the keys of all of those (a smaller key is an earlier arrival, and
+keys in a row are unique).  Let r_k be the least key of e_k, ..., e_{n-1}:
+the running minimum from the top down, one np.minimum per element.  Then
+e_k is tagged iff its key equals r_k.  And every r_k is a tagged key: r_k
+is the key of some e_j with j >= k, and r_j, a minimum over fewer elements
+that include e_j, lies between r_k and e_j's key, which are equal; so e_j
+is tagged.  The values of r are therefore exactly the tagged keys, some
+repeated, and a Piece of a chain takes r as its tag keys and reads its tag
+matrix off r, with no arrival sort, no seen masks and no float times.
+
+Accept rule: the strategy takes the first tagged arrival strictly after
+tau, and batch_accept finds it from tag keys alone.  A time k * 2^-53 lies
+above tau iff k > floor(tau * 2^53) (tau * 2^53 is exact: a power-of-two
+scaling), that is iff its key lies above _tau_key(tau) = floor(tau * 2^53)
+<< 6 | 63.  The least tag key above that is the first such arrival, ties
+going to the lowest index as in the stable order, and its low 6 bits name
+the element.  Subtracting _tau_key(tau) + 1 wraps every key at or below it
+past every key above it and past _NO_TAG (all-ones, far above every time
+key), so one min over each trial's tag keys finds it.
 
 Elements are bits of the smallest unsigned dtype that holds n of them, which
 caps simulation at SIM_CAP elements.  seen[x] is the mask of the elements
@@ -129,8 +154,12 @@ _SUB_BATCH = 2048
 _INDEX_BITS = 6
 _RANK_BITS = 5
 _POST_RANK = (1 << _RANK_BITS) - 1
+_INDEX_MASK = (1 << _INDEX_BITS) - 1
 assert SIM_CAP <= 1 << _INDEX_BITS and SIM_CAP // 2 <= 1 << _RANK_BITS
 assert 53 + _INDEX_BITS + _RANK_BITS <= 64
+
+# A tag key where an element is not tagged: above every time key.
+_NO_TAG = np.uint64(np.iinfo(np.uint64).max)
 
 
 def check_seed(master_seed: int) -> None:
@@ -171,28 +200,22 @@ def chunk_uniforms(
 def _key_order(keys: np.ndarray) -> np.ndarray:
     """Each row's elements (uint8) in ascending key order, i.e. the stable order."""
     order = np.sort(keys, axis=1).astype(np.uint8)
-    order &= (1 << _INDEX_BITS) - 1
+    order &= _INDEX_MASK
     return order
 
 
-def _chunk_pieces(n: int, master_seed: int, chunk_index: int, rows: int, ranks: np.ndarray):
-    """Yield (times, keys) of one canonical chunk, _SUB_BATCH rows at a time, in row order.
+def _chunk_pieces(n: int, master_seed: int, chunk_index: int, rows: int):
+    """Yield one canonical chunk's raw words, _SUB_BATCH rows at a time, in row order.
 
-    A piece's times (m, n) equal its rows of chunk_uniforms' times bit for
-    bit, and its order keys (m, 2n) are the same rows' times, then weights.
-    ranks holds each element's series rank already shifted into the weight
-    keys' top bits.
+    A piece's words (m, 2n) hold each uniform's 53 bits, already shifted
+    right by 11: the same rows' times, then weights, of chunk_uniforms,
+    each being its word * 2^-53.
     """
-    tail = np.tile(np.arange(n, dtype=np.uint64), 2)
-    tail[n:] |= ranks
     bitgen = _philox(master_seed, chunk_index).bit_generator
     for lo in range(0, rows, _SUB_BATCH):
         words = bitgen.random_raw((min(_SUB_BATCH, rows - lo), 2 * n))
         words >>= 11
-        times = words[:, :n] * 2.0**-53
-        words <<= _INDEX_BITS
-        words |= tail
-        yield times, words
+        yield words
 
 
 def _stable_argsort(a: np.ndarray) -> np.ndarray:
@@ -294,29 +317,67 @@ def _keep_freed_heap() -> None:
 class Piece:
     """One piece of a canonical chunk, its fields built on first read and kept.
 
-    times, float64 (m, n), is drawn with the piece.  aorder and worder, uint8
-    (m, n), are each row's stable arrival order and series order; tagged,
-    bool (m, n), is the element-major tag matrix; arrival_tags, bool (n, m),
-    is tagged in arrival order, row k holding every trial's k-th arrival.
+    keys, uint64 (m, 2n), are the order keys of the times, then the weights,
+    made in place from the piece's raw words; times, float64 (m, n), are
+    read back from them.  aorder and worder, uint8 (m, n), are each row's
+    stable arrival order and series order; tagged, bool (m, n), is the
+    element-major tag matrix; arrival_tags, bool (n, m), is tagged in
+    arrival order, row k holding every trial's k-th arrival; tag_keys,
+    uint64 (n, m), holds in column b the time keys of trial b's tagged
+    elements, and _NO_TAG in the rest.  On a chain tag_keys is the post
+    rule's running minimum and tagged is read from it, so neither sorts.
     """
 
-    def __init__(self, tables: tuple, times: np.ndarray, keys: np.ndarray):
+    def __init__(self, tables: tuple, tail: np.ndarray, chain: tuple | None, words: np.ndarray):
         self._tables = tables
-        self.times = times
-        self._keys = keys
+        self._tail = tail  # each key's low bits: the element's index, a weight's series rank
+        self._chain = chain  # a chain's (elements bottom to top, each element's position)
+        self._words = words
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        keys = self._words  # in place: the raw words are read only here
+        keys <<= _INDEX_BITS
+        keys |= self._tail
+        return keys
+
+    @property
+    def _time_keys(self) -> np.ndarray:
+        return self.keys[:, :len(self._tail) // 2]
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return (self._time_keys >> _INDEX_BITS) * 2.0**-53
 
     @cached_property
     def aorder(self) -> np.ndarray:
-        return _key_order(self._keys[:, :self.times.shape[1]])
+        return _key_order(self._time_keys)
 
     @cached_property
     def worder(self) -> np.ndarray:
-        return _key_order(self._keys[:, self.times.shape[1]:])
+        return _key_order(self.keys[:, len(self._tail) // 2:])
 
     @cached_property
     def tagged(self) -> np.ndarray:
-        blocks = self._tables[2]  # test (a) reads the series order, and runs only in blocks
-        return _tag_sub_batch(*self._tables, self.aorder, self.worder if blocks else None)
+        if self._chain is None:
+            return _tag_sub_batch(*self._tables, self.aorder, self.worder)
+        # post rule: x is tagged iff its key is the running minimum at x
+        time_keys = self._time_keys
+        tagged = np.empty(time_keys.shape, dtype=bool)
+        np.equal(time_keys.T, self.tag_keys[self._chain[1]], out=tagged.T)
+        return tagged
+
+    @cached_property
+    def tag_keys(self) -> np.ndarray:
+        if self._chain is not None:
+            return _running_minimum(self._time_keys, self._chain[0])
+        tag_keys = np.empty(self.tagged.shape, dtype=np.int64)
+        np.subtract(self.tagged.view(np.int8), 1, out=tag_keys)  # 0 where tagged, else all-ones
+        tag_keys = tag_keys.view(np.uint64)
+        tag_keys |= self._time_keys
+        # built element-major, then transposed once: at n = 64 about twice as
+        # fast as OR-ing the transposed time keys into an (n, m) array
+        return np.ascontiguousarray(tag_keys.T)
 
     @cached_property
     def arrival_tags(self) -> np.ndarray:
@@ -333,8 +394,29 @@ def chunk_tags(p: Poset, master_seed: int, chunk_index: int, rows: int) -> Itera
     """
     tables = _kernel_tables(p)
     _keep_freed_heap()
-    pieces = _chunk_pieces(p.n, master_seed, chunk_index, rows, _series_ranks(p))
-    return (Piece(tables, times, keys) for times, keys in pieces)
+    tail = np.tile(np.arange(p.n, dtype=np.uint64), 2)
+    tail[p.n:] |= _series_ranks(p)
+    chain = None
+    if not tables[2]:  # no block: every series part is a post
+        order = np.array([part[0] for part in p.series_parts])
+        position = np.empty_like(order)
+        position[order] = np.arange(p.n)
+        chain = order, position
+    pieces = _chunk_pieces(p.n, master_seed, chunk_index, rows)
+    return (Piece(tables, tail, chain, words) for words in pieces)
+
+
+def _running_minimum(time_keys: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """(n, m) running minimum of a chain's (m, n) time keys, from the top down.
+
+    order lists the chain's elements bottom to top; row k holds each
+    trial's least key over the elements order[k:], the post rule's tag keys.
+    """
+    run = np.empty(time_keys.shape[::-1], dtype=np.uint64)
+    run[-1] = time_keys[:, order[-1]]
+    for k in range(len(order) - 2, -1, -1):
+        np.minimum(run[k + 1], time_keys[:, order[k]], out=run[k])
+    return run
 
 
 def _seen(ao: np.ndarray, dtype: type) -> np.ndarray:
@@ -360,7 +442,7 @@ def _tag_sub_batch(
     blocks: tuple[tuple[int, int], ...],
     posts: np.integer,
     ao: np.ndarray,
-    wo: np.ndarray | None,
+    wo: np.ndarray,
 ) -> np.ndarray:
     """Tag flags (rows, n) of one sub-batch from its arrival and series orders.
 
@@ -400,17 +482,26 @@ def _tag_sub_batch(
     return tag
 
 
+def _tau_key(tau: float) -> int:
+    """The largest order key whose time is at most tau, for tau in [0, 1)."""
+    return int(tau * 2.0**53) << _INDEX_BITS | _INDEX_MASK
+
+
 def batch_accept(
-    times: np.ndarray, tagged: np.ndarray, tau: float, is_maximal: np.ndarray
+    tag_keys: np.ndarray, tau: float, is_maximal: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """First tagged arrival strictly after tau; (accepted or -1, success).
 
-    Equal times go to the lowest index, as in the stable arrival order.
+    tag_keys is a Piece's (n, m) tag_keys and tau lies in [0, 1).  The
+    least tag key above _tau_key(tau) is the first such arrival, equal
+    times going to the lowest index as in the stable arrival order.
     """
-    due = np.where(tagged & (times > tau), times, np.inf)
-    first = due.argmin(axis=1)
-    has = due[np.arange(due.shape[0]), first] < np.inf
-    return np.where(has, first, -1), has & is_maximal[first]
+    above = np.uint64(_tau_key(tau) + 1)
+    first = (tag_keys - above).min(axis=0)  # keys at or below tau wrap past every other
+    has = first < _NO_TAG - above
+    first += above
+    accepted = np.where(has, (first & np.uint64(_INDEX_MASK)).astype(np.intp), -1)
+    return accepted, has & is_maximal[accepted]
 
 
 def batch_last_tag_time(times: np.ndarray, tagged: np.ndarray, t: float) -> np.ndarray:

@@ -10,9 +10,10 @@ correct implementation far more often than alpha.
 One pass per chunk: each canonical chunk is drawn once, piece by piece
 (_tag_chunk, through engine.chunk_tags), and every statistic is a reducer
 that reads only the engine.Piece fields it needs, so a pass builds only
-those.  Tallies add over the pieces into one per chunk.  Acceptance and
-last-tag times read tagged elements' times directly; the lemma-2 checks,
-which count by arrival position, read Piece.arrival_tags.  Lemma 4's
+those.  Tallies add over the pieces into one per chunk.  Acceptance reads
+only Piece.tag_keys, so on a chain it sorts nothing; last-tag times read
+tagged elements' times directly; the lemma-2 checks, which count by
+arrival position, read Piece.arrival_tags.  Lemma 4's
 pinned check reads no tag flags, so it runs no tag kernel:
 engine.batch_pinned_tags runs one bitmask scan over the piece's series
 order per pinned time, shared by every maximal element.
@@ -203,6 +204,8 @@ def _run_checks(
     engine.check_seed(master_seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if not checks:
         return []
     reducers = tuple(dict.fromkeys(reduce for reduce, _ in checks))
@@ -221,7 +224,7 @@ def _run_checks(
 def _success_counts(is_maximal, taus, piece: engine.Piece) -> np.ndarray:
     out = np.empty(len(taus), dtype=np.int64)
     for i, tau in enumerate(taus):
-        _, success = engine.batch_accept(piece.times, piece.tagged, tau, is_maximal)
+        _, success = engine.batch_accept(piece.tag_keys, tau, is_maximal)
         out[i] = int(success.sum())
     return out
 

@@ -284,6 +284,12 @@ class TestVerify:
         code, out, err = run("verify", "wedge", "--lemma", lemma, "--trials", "100", *bad)
         assert code == 3 and out == "" and err
 
+    # lemma 5 alone draws nothing and takes 0 trials, but no negative count
+    @pytest.mark.parametrize("lemma", ["3", "4", "5"])
+    def test_negative_trials_is_exit_3(self, run, lemma):
+        code, out, err = run("verify", "wedge", "--lemma", lemma, "--trials", "-5")
+        assert code == 3 and out == "" and "trials" in err
+
     def test_every_lemma_is_validated_before_any_draw(self, run, monkeypatch):
         def no_draws(*args):
             raise AssertionError("drew a chunk before every lemma was validated")

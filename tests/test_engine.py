@@ -10,15 +10,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poset_secretary.engine import (
     CHUNK_TRIALS,
     SIM_CAP,
     _SUB_BATCH,
-    _chunk_pieces,
+    _NO_TAG,
     _kernel_tables,
+    _running_minimum,
     _series_ranks,
     _stable_argsort,
+    _tau_key,
     batch_accept,
     batch_greedy_maximum,
     batch_last_tag_time,
@@ -136,11 +140,12 @@ class TestChunking:
     @pytest.mark.parametrize("rows", [CHUNK_TRIALS, 3 * _SUB_BATCH + 17])
     def test_pieces_are_the_chunk_draw_bit_for_bit(self, rows):
         # two blocks and two posts: the elements rank 0, 0, 31, 31, 1, 1
-        ranks = _series_ranks(ordinal_sum(antichain(2), chain(1), wedge()))
+        p = ordinal_sum(antichain(2), chain(1), wedge())
+        ranks = _series_ranks(p)
         top = np.uint64(59)  # a rank sits above 53 value bits and 6 index bits
         for seed in (99, (1 << 64) - 1):
             times, weights = chunk_uniforms(6, seed, 2, rows)
-            pieces = list(_chunk_pieces(6, seed, 2, rows, ranks))
+            pieces = [(piece.times, piece.keys) for piece in chunk_tags(p, seed, 2, rows)]
             assert [len(t) for t, _ in pieces] == [len(r) for r in piece_rows(rows)]
             drawn = np.concatenate([t for t, _ in pieces])
             keys = np.concatenate([k for _, k in pieces])
@@ -368,6 +373,17 @@ class TestSimCap:
             chunk_tags(antichain(SIM_CAP + 1), 0, 0, 1)
 
 
+def time_keys_of(times):
+    """The order keys of times on the 2^-53 grid, as a Piece makes them."""
+    k = (times * 2.0**53).astype(np.uint64)
+    return k << np.uint64(6) | np.arange(times.shape[1], dtype=np.uint64)
+
+
+def tag_keys_of(times, tagged):
+    """The (n, rows) tag keys of times on the 2^-53 grid and their tag flags."""
+    return np.where(tagged, time_keys_of(times), _NO_TAG).T
+
+
 def with_quarter_times(times):
     """The times as drawn, and on a grid of 1/4: there some times equal tau or
     t exactly and some tagged elements arrive together."""
@@ -381,7 +397,7 @@ class TestBatchAccept:
         drawn, weights = batches(7, 400, seed=17)
         for times in with_quarter_times(drawn):
             _, tagged = batch_tag_matrix(p, times, weights)
-            accepted, success = batch_accept(times, tagged, tau, p.is_maximal)
+            accepted, success = batch_accept(tag_keys_of(times, tagged), tau, p.is_maximal)
             for b in range(400):
                 out = run_strategy(p, Trial(times[b], weights[b]), tau)
                 assert accepted[b] == (-1 if out.accepted is None else out.accepted)
@@ -393,11 +409,87 @@ class TestBatchAccept:
         drawn, weights = batches(7, rows, seed=18)
         for times in with_quarter_times(drawn):
             _, tagged = batch_tag_matrix(p, times, weights)
-            accepted, success = batch_accept(times, tagged, 0.25, p.is_maximal)
+            accepted, success = batch_accept(tag_keys_of(times, tagged), 0.25, p.is_maximal)
             for b in (0, _SUB_BATCH - 1, _SUB_BATCH, 2 * _SUB_BATCH, rows - 1):
                 out = run_strategy(p, Trial(times[b], weights[b]), 0.25)
                 assert accepted[b] == (-1 if out.accepted is None else out.accepted)
                 assert success[b] == out.success
+
+
+# the last two chains' series orders are not 0..n-1: 3 < 0 < 4 < 1 < 2, and
+# 64 elements joined by covers in a random order
+CHAIN_64_ORDER = np.random.default_rng(6).permutation(64)
+CHAINS = [
+    pytest.param(chain(1), id="chain1"),
+    pytest.param(chain(2), id="chain2"),
+    pytest.param(chain(20), id="chain20"),
+    pytest.param(chain(64), id="chain64"),
+    pytest.param(from_relations(5, [(3, 0), (0, 4), (4, 1), (1, 2)]), id="relabelled5"),
+    pytest.param(from_relations(64, zip(CHAIN_64_ORDER[:-1], CHAIN_64_ORDER[1:])), id="relabelled64"),
+]
+
+
+def assert_tag_keys_hold_the_tagged_keys(tag_keys, keys, tagged):
+    """Column b of tag_keys holds exactly row b's tagged keys, each at least once."""
+    at = (tag_keys & np.uint64(63)).astype(np.intp)
+    rows = np.arange(tagged.shape[0])
+    assert np.array_equal(tag_keys, keys[rows, at]) and tagged[rows, at].all()
+    ordered = np.sort(tag_keys, axis=0)
+    distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1], axis=0)
+    assert np.array_equal(distinct, np.count_nonzero(tagged, axis=1))
+
+
+class TestPostRule:
+    """A chain's tags and acceptance come from one running minimum of its time keys."""
+
+    @pytest.mark.parametrize("p", CHAINS)
+    @pytest.mark.parametrize("rows", [3 * _SUB_BATCH + 17, 5])
+    def test_pieces_equal_the_kernel(self, p, rows):
+        assert not any(len(part) > 1 for part in p.series_parts)
+        times, weights = chunk_uniforms(p.n, 4, 1, rows)
+        _, want = batch_tag_matrix(p, times, weights)
+        keys = time_keys_of(times)
+        lo = 0
+        for piece in chunk_tags(p, 4, 1, rows):
+            hi = lo + len(piece.tag_keys[0])
+            assert piece.tag_keys.shape == (p.n, hi - lo) and piece.tag_keys.dtype == np.uint64
+            assert piece.tagged.dtype == bool and np.array_equal(piece.tagged, want[lo:hi])
+            assert_tag_keys_hold_the_tagged_keys(piece.tag_keys, keys[lo:hi], want[lo:hi])
+            lo = hi
+        assert lo == rows
+
+    @pytest.mark.parametrize("p", [POSETS[-1], wedge(), antichain(64)])
+    def test_a_poset_with_a_block_reads_its_tag_keys_off_the_kernel(self, p):
+        times, weights = chunk_uniforms(p.n, 4, 1, 300)
+        _, tagged = batch_tag_matrix(p, times, weights)
+        [piece] = chunk_tags(p, 4, 1, 300)
+        assert np.array_equal(piece.tag_keys, tag_keys_of(times, tagged))
+
+    @pytest.mark.parametrize("p", [chain(6), from_relations(5, [(3, 0), (0, 4), (4, 1), (1, 2)])])
+    def test_accepts_as_run_strategy_does(self, p):
+        order = np.array([part[0] for part in p.series_parts])
+        drawn, weights = batches(p.n, 400, seed=p.n)
+        for times in with_quarter_times(drawn):
+            # 0.25 ties many quarter-grid times; drawn[7, 2] ties one time
+            for tau in (0.0, 0.25, 0.5, float(drawn[7, 2]), 0.9):
+                tag_keys = _running_minimum(time_keys_of(times), order)
+                accepted, success = batch_accept(tag_keys, tau, p.is_maximal)
+                for b in range(400):
+                    out = run_strategy(p, Trial(times[b], weights[b]), tau)
+                    assert accepted[b] == (-1 if out.accepted is None else out.accepted)
+                    assert success[b] == out.success
+
+    @given(
+        tau=st.floats(0.0, 1.0, exclude_max=True),
+        k=st.integers(0, 2**53 - 1),
+        near=st.integers(-2, 2),
+        x=st.integers(0, 63),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_a_key_is_above_the_tau_key_iff_its_time_is_above_tau(self, tau, k, near, x):
+        # also a k beside tau's own grid point, where a float tau in [1/2, 1) lies
+        for k in (k, min(max(int(tau * 2**53) + near, 0), 2**53 - 1)):
+            assert ((k << 6 | x) > _tau_key(tau)) == (k * 2.0**-53 > tau)
 
 
 class TestLastTagTime:

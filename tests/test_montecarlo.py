@@ -511,22 +511,34 @@ class TestWorkSkipped:
         reports = verify_lemmas(p, ["4"], 2_000, master_seed=0)
         assert len(reports) == len(p.maximal) * len(PINNED_TIMES)
 
-    def test_an_all_post_simulate_sorts_only_its_time_keys(self, monkeypatch):
-        # a chain has no block, so its tags are test (b) alone and no piece
-        # builds the series order: one key sort per piece, by arrival
-        sorted_keys = []
+    def test_an_all_post_simulate_sorts_nothing(self, monkeypatch):
+        # a chain's tags and acceptance come from one running minimum of its
+        # time keys: no key sort, no tag kernel and no float times
+        def refused(*args):
+            raise AssertionError("sorted keys, ran the tag kernel or built float times on a chain")
 
-        def recorded(keys, _fn=engine._key_order):
-            sorted_keys.append(keys)
-            return _fn(keys)
+        accepted = []
 
-        monkeypatch.setattr(engine, "_key_order", recorded)
+        def recorded(tag_keys, *args, _fn=engine.batch_accept):
+            accepted.append(tag_keys)
+            return _fn(tag_keys, *args)
+
+        monkeypatch.setattr(engine, "_key_order", refused)
+        monkeypatch.setattr(engine, "_tag_sub_batch", refused)
+        monkeypatch.setattr(engine.Piece, "times", property(refused))
+        monkeypatch.setattr(engine, "batch_accept", recorded)
         rows = 2 * engine._SUB_BATCH + 5
         estimate_success(chain(20), trials=rows, master_seed=3)
-        assert len(sorted_keys) == 3
+        assert len(accepted) == 3
+        # the tag keys' value bits are the draw bit for bit: each key is the
+        # time of the element its low bits name, and the top row holds the
+        # top element's own key
         times, _ = engine.chunk_uniforms(20, 3, 0, rows)
-        drawn = (np.concatenate(sorted_keys) >> 6) * 2.0**-53
-        assert np.array_equal(drawn.view(np.uint64), times.view(np.uint64))
+        tag_keys = np.concatenate(accepted, axis=1)
+        drawn = (tag_keys >> 6) * 2.0**-53
+        at = (tag_keys & 63).astype(np.intp)
+        assert np.array_equal(drawn.view(np.uint64), times.T[at, np.arange(rows)].view(np.uint64))
+        assert np.array_equal(drawn[-1].view(np.uint64), times[:, 19].view(np.uint64))
 
 
 class TestChunkFootprint:
