@@ -44,7 +44,6 @@ from .greedy import (
     check_mu_monotonicity,
     greedy_chain,
     greedy_maximum,
-    is_tagged,
     mu_exact,
     mu_t_exact,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "greedy_chain",
     "greedy_maximum",
     "induced_subposet",
-    "is_tagged",
     "mu_exact",
     "mu_t_exact",
     "parse_generator_spec",

@@ -12,9 +12,9 @@ never what comes out.  A chunk may be drawn in consecutive pieces of rows:
 the stream continues where the last piece ended, so the pieces are
 bit-identical to one whole-chunk draw.  chunk_tags yields a chunk in such
 pieces of _SUB_BATCH rows, each a Piece that holds only its raw words: its
-order keys, float64 times, uint8 arrival and series orders, bool tag matrix
-and tag keys are built on first read, so a pass builds only what it reads,
-and nothing chunk-sized.
+order keys, uint8 arrival and series orders, bool tag matrix and tag keys
+are built on first read, so a pass builds only what it reads, and nothing
+chunk-sized.  Its times are its order keys alone.
 
 The tag matrix gives the same flags as simulate.tag_sequence without running
 its greedy scan once per arrival prefix.  It is element-major: tagged[b, x]
@@ -66,8 +66,9 @@ e_k is tagged iff its key equals r_k.  And every r_k is a tagged key: r_k
 is the key of some e_j with j >= k, and r_j, a minimum over fewer elements
 that include e_j, lies between r_k and e_j's key, which are equal; so e_j
 is tagged.  The values of r are therefore exactly the tagged keys, some
-repeated, and a Piece of a chain takes r as its tag keys and reads its tag
-matrix off r, with no arrival sort, no seen masks and no float times.
+repeated.  A Piece of a chain takes r as its tag keys, r_k in row e_k
+(rows are indexed by element, as a block poset's are), and reads its tag
+matrix off r with one compare: no arrival sort and no seen masks.
 
 Accept rule: the strategy takes the first tagged arrival strictly after
 tau, and batch_accept finds it from tag keys alone.  A time k * 2^-53 lies
@@ -77,7 +78,12 @@ scaling), that is iff its key lies above _tau_key(tau) = floor(tau * 2^53)
 going to the lowest index as in the stable order, and its low 6 bits name
 the element.  Subtracting _tau_key(tau) + 1 wraps every key at or below it
 past every key above it and past _NO_TAG (all-ones, far above every time
-key), so one min over each trial's tag keys finds it.
+key), so one min over each trial's tag keys finds it.  Lemma 3 reads the
+other direction: k * 2^-53 lies below t iff k < ceil(t * 2^53), so the
+last tag before t is the greatest tag key below ceil(t * 2^53) << 6.
+Subtracting every key from one less than that bound wraps the keys at or
+above it, _NO_TAG included, past the rest, so batch_last_tag_time finds
+it with one min too, and reads its time back as the drawn float.
 
 Elements are bits of the smallest unsigned dtype that holds n of them, which
 caps simulation at SIM_CAP elements.  seen[x] is the mask of the elements
@@ -106,12 +112,13 @@ the scan has one member set, so batch_pinned_tags runs it once for every
 maximal element pinned at one time t (lemma 4), which the triangle cannot
 serve.  At t = 1 every element is a member and the scan walks the greedy
 chain itself, so a maximal element pinned there is tagged iff it is the
-greedy maximum: batch_greedy_maximum is that pin.
+greedy maximum: batch_greedy_maximum is that pin, every time 0.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 from functools import cache, cached_property
 from typing import Iterator, Sequence
 
@@ -318,20 +325,21 @@ class Piece:
     """One piece of a canonical chunk, its fields built on first read and kept.
 
     keys, uint64 (m, 2n), are the order keys of the times, then the weights,
-    made in place from the piece's raw words; times, float64 (m, n), are
-    read back from them.  aorder and worder, uint8 (m, n), are each row's
-    stable arrival order and series order; tagged, bool (m, n), is the
+    made in place from the piece's raw words; time_keys are the first n
+    columns.  aorder and worder, uint8 (m, n), are each row's stable
+    arrival order and series order; tagged, bool (m, n), is the
     element-major tag matrix; arrival_tags, bool (n, m), is tagged in
     arrival order, row k holding every trial's k-th arrival; tag_keys,
-    uint64 (n, m), holds in column b the time keys of trial b's tagged
-    elements, and _NO_TAG in the rest.  On a chain tag_keys is the post
-    rule's running minimum and tagged is read from it, so neither sorts.
+    uint64 (n, m), holds x's time key in row x where x is tagged and
+    _NO_TAG elsewhere.  On a chain tag_keys is the post rule's running
+    minimum, each column the same keys, some repeated, and tagged is read
+    from it, so neither sorts.
     """
 
-    def __init__(self, tables: tuple, tail: np.ndarray, chain: tuple | None, words: np.ndarray):
+    def __init__(self, tables: tuple, tail: np.ndarray, chain: np.ndarray | None, words: np.ndarray):
         self._tables = tables
         self._tail = tail  # each key's low bits: the element's index, a weight's series rank
-        self._chain = chain  # a chain's (elements bottom to top, each element's position)
+        self._chain = chain  # a chain's elements, bottom to top
         self._words = words
 
     @cached_property
@@ -342,16 +350,12 @@ class Piece:
         return keys
 
     @property
-    def _time_keys(self) -> np.ndarray:
+    def time_keys(self) -> np.ndarray:
         return self.keys[:, :len(self._tail) // 2]
 
     @cached_property
-    def times(self) -> np.ndarray:
-        return (self._time_keys >> _INDEX_BITS) * 2.0**-53
-
-    @cached_property
     def aorder(self) -> np.ndarray:
-        return _key_order(self._time_keys)
+        return _key_order(self.time_keys)
 
     @cached_property
     def worder(self) -> np.ndarray:
@@ -362,19 +366,18 @@ class Piece:
         if self._chain is None:
             return _tag_sub_batch(*self._tables, self.aorder, self.worder)
         # post rule: x is tagged iff its key is the running minimum at x
-        time_keys = self._time_keys
-        tagged = np.empty(time_keys.shape, dtype=bool)
-        np.equal(time_keys.T, self.tag_keys[self._chain[1]], out=tagged.T)
+        tagged = np.empty(self.time_keys.shape, dtype=bool)
+        np.equal(self.time_keys.T, self.tag_keys, out=tagged.T)
         return tagged
 
     @cached_property
     def tag_keys(self) -> np.ndarray:
         if self._chain is not None:
-            return _running_minimum(self._time_keys, self._chain[0])
+            return _running_minimum(self.time_keys, self._chain)
         tag_keys = np.empty(self.tagged.shape, dtype=np.int64)
         np.subtract(self.tagged.view(np.int8), 1, out=tag_keys)  # 0 where tagged, else all-ones
         tag_keys = tag_keys.view(np.uint64)
-        tag_keys |= self._time_keys
+        tag_keys |= self.time_keys
         # built element-major, then transposed once: at n = 64 about twice as
         # fast as OR-ing the transposed time keys into an (n, m) array
         return np.ascontiguousarray(tag_keys.T)
@@ -388,9 +391,10 @@ class Piece:
 def chunk_tags(p: Poset, master_seed: int, chunk_index: int, rows: int) -> Iterator[Piece]:
     """Yield one canonical chunk as Pieces of at most _SUB_BATCH rows, in row order.
 
-    Stacked, the pieces' fields equal chunk_uniforms' times, their stable
-    arrival order and batch_tag_matrix on its output.  Raises TooLargeError
-    when p.n exceeds SIM_CAP at the call, before anything is drawn.
+    Stacked, the pieces' time keys are the order keys of chunk_uniforms'
+    times, and their aorder, worder and tagged are those times' stable
+    arrival order and batch_tag_matrix's output.  Raises TooLargeError when
+    p.n exceeds SIM_CAP at the call, before anything is drawn.
     """
     tables = _kernel_tables(p)
     _keep_freed_heap()
@@ -398,10 +402,7 @@ def chunk_tags(p: Poset, master_seed: int, chunk_index: int, rows: int) -> Itera
     tail[p.n:] |= _series_ranks(p)
     chain = None
     if not tables[2]:  # no block: every series part is a post
-        order = np.array([part[0] for part in p.series_parts])
-        position = np.empty_like(order)
-        position[order] = np.arange(p.n)
-        chain = order, position
+        chain = np.array([part[0] for part in p.series_parts])
     pieces = _chunk_pieces(p.n, master_seed, chunk_index, rows)
     return (Piece(tables, tail, chain, words) for words in pieces)
 
@@ -409,13 +410,14 @@ def chunk_tags(p: Poset, master_seed: int, chunk_index: int, rows: int) -> Itera
 def _running_minimum(time_keys: np.ndarray, order: np.ndarray) -> np.ndarray:
     """(n, m) running minimum of a chain's (m, n) time keys, from the top down.
 
-    order lists the chain's elements bottom to top; row k holds each
-    trial's least key over the elements order[k:], the post rule's tag keys.
+    order lists the chain's elements bottom to top; row x holds each
+    trial's least key over x and all above it, the post rule's tag keys.
     """
     run = np.empty(time_keys.shape[::-1], dtype=np.uint64)
-    run[-1] = time_keys[:, order[-1]]
-    for k in range(len(order) - 2, -1, -1):
-        np.minimum(run[k + 1], time_keys[:, order[k]], out=run[k])
+    above = run[order[-1]]
+    above[:] = time_keys[:, order[-1]]
+    for x in order[-2::-1]:
+        above = np.minimum(above, time_keys[:, x], out=run[x])
     return run
 
 
@@ -504,14 +506,17 @@ def batch_accept(
     return accepted, has & is_maximal[accepted]
 
 
-def batch_last_tag_time(times: np.ndarray, tagged: np.ndarray, t: float) -> np.ndarray:
+def batch_last_tag_time(tag_keys: np.ndarray, t: float) -> np.ndarray:
     """Arrival time of the last tag strictly before t; NaN when no arrival.
 
-    The first arrival is always tagged, so the value exists exactly when
-    some element arrives before t.
+    tag_keys is a Piece's (n, m) tag_keys and t lies in (0, 1].  The first
+    arrival is always tagged, so the value exists exactly when some element
+    arrives before t.
     """
-    last = np.maximum.reduce(times, axis=1, where=tagged & (times < t), initial=-1.0)
-    last[last < 0] = np.nan
+    below = np.uint64((math.ceil(t * 2.0**53) << _INDEX_BITS) - 1)
+    gap = (below - tag_keys).min(axis=0)  # keys at or above the bound wrap past every other
+    last = ((below - gap) >> _INDEX_BITS) * 2.0**-53
+    last[gap > below] = np.nan
     return last
 
 
@@ -541,7 +546,7 @@ def _passed_mask(bitw: np.ndarray, upw: np.ndarray, member: np.ndarray) -> np.nd
 
 
 def batch_pinned_tags(
-    p: Poset, pins: Sequence[tuple[int, float]], times: np.ndarray, worder: np.ndarray
+    p: Poset, pins: Sequence[tuple[int, float]], time_keys: np.ndarray, worder: np.ndarray
 ) -> np.ndarray:
     """Per pin (x, t) and row: is x tagged when its arrival time is replaced by t?
 
@@ -552,7 +557,8 @@ def batch_pinned_tags(
     time_y == t and y < x (the stable arrival sort's tie rule).  x's own
     membership matters only from its step on, so with no time equal to t
     one scan of {y : time_y < t} serves every pin at t; a time equal to t
-    (quantised inputs) gives each pin at that t its own scan.
+    (quantised inputs) gives each pin at that t its own scan.  time_keys
+    are a Piece's; times are read back from their gathered copy.
 
     worder may be the stable weight order or a Piece's worder, with
     the same flags: every maximal element lies in the top series part T,
@@ -564,14 +570,14 @@ def batch_pinned_tags(
     up = _kernel_tables(p)[1]
     dtype = up.dtype.type
     wo, at = _columns(worder)
-    timew = times.take(at)
+    timew = (time_keys.take(at) >> _INDEX_BITS) * 2.0**-53
     upw = up.take(wo)
     bitw = wo.astype(dtype)
     np.left_shift(dtype(1), bitw, out=bitw)
-    out = np.empty((len(pins), times.shape[0]), dtype=bool)
+    out = np.empty((len(pins), len(time_keys)), dtype=bool)
     for t in dict.fromkeys(t for _, t in pins):
         member = timew < t
-        shared = None if (times == t).any() else _passed_mask(bitw, upw, member)
+        shared = None if (timew == t).any() else _passed_mask(bitw, upw, member)
         for i, (x, s) in enumerate(pins):
             if s != t:
                 continue
@@ -587,11 +593,12 @@ def batch_greedy_maximum(p: Poset, weights: np.ndarray) -> np.ndarray:
 
     Equal weights go to the lowest index.  The greedy maximum is the one
     maximal element tagged when pinned at t = 1, every other element having
-    arrived before it: batch_pinned_tags with all times 0 and the stable
-    weight order.  Raises TooLargeError when n exceeds SIM_CAP.
+    arrived before it: batch_pinned_tags with all times 0 (index-only
+    keys) and the stable weight order.  Raises TooLargeError when n exceeds
+    SIM_CAP.
     """
     tops = np.array(sorted(p.maximal))
-    times = np.broadcast_to(0.0, weights.shape)
+    time_keys = np.broadcast_to(np.arange(p.n, dtype=np.uint64), weights.shape)
     worder = _stable_argsort(weights).astype(np.uint8)
-    hits = batch_pinned_tags(p, [(x, 1.0) for x in tops], times, worder)
+    hits = batch_pinned_tags(p, [(x, 1.0) for x in tops], time_keys, worder)
     return tops[hits.argmax(axis=0)]

@@ -155,10 +155,6 @@ class GeneratorSpec:
     def build(self) -> Poset:
         return FAMILIES[self.family].build(*self.params)
 
-    def __str__(self) -> str:
-        return ":".join([self.family, *(",".join(map(str, v)) if isinstance(v, tuple) else str(v)
-                                        for v in self.params)])
-
 
 def parse_generator_spec(text: str) -> GeneratorSpec:
     """Parse family[:param]* syntax; wrong shape raises GeneratorSpecError.

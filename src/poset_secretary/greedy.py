@@ -44,7 +44,6 @@ __all__ = [
     "MuTable",
     "greedy_chain",
     "greedy_maximum",
-    "is_tagged",
     "mu_exact",
     "mu_t_exact",
     "check_mu_monotonicity",
@@ -108,8 +107,11 @@ class MuTable:
             raise NotMaximalError(f"element {x} is not maximal")
         if t == 0:
             return Fraction(1)
-        integral = self.integrals[x]
-        return (sum(integral) - sum(a * (1 - t) ** i for i, a in enumerate(integral))) / t
+        # mu(x) is the integral at v = 1; at v = 1 - t it is taken by Horner's rule
+        v, below = 1 - t, Fraction(0)
+        for a in reversed(self.integrals[x]):
+            below = below * v + a
+        return (self.values[x] - below) / t
 
 
 def greedy_chain(p: Poset, w: WeightRanking) -> tuple[int, ...]:
@@ -135,15 +137,6 @@ def greedy_chain(p: Poset, w: WeightRanking) -> tuple[int, ...]:
 def greedy_maximum(p: Poset, w: WeightRanking) -> int:
     """Terminal element of the greedy chain; always maximal in p."""
     return greedy_chain(p, w)[-1]
-
-
-def is_tagged(p_x: Poset, x_local: int, w: WeightRanking) -> bool:
-    """Is x the greedy maximum of the poset exposed up to its own arrival?
-
-    ``p_x`` is the induced poset on everything exposed by the time x arrives
-    (including x); ``x_local`` names x inside it.
-    """
-    return greedy_maximum(p_x, w) == x_local
 
 
 def _antiderivative(c: list[Fraction]) -> list[Fraction]:

@@ -10,13 +10,13 @@ correct implementation far more often than alpha.
 One pass per chunk: each canonical chunk is drawn once, piece by piece
 (_tag_chunk, through engine.chunk_tags), and every statistic is a reducer
 that reads only the engine.Piece fields it needs, so a pass builds only
-those.  Tallies add over the pieces into one per chunk.  Acceptance reads
-only Piece.tag_keys, so on a chain it sorts nothing; last-tag times read
-tagged elements' times directly; the lemma-2 checks, which count by
-arrival position, read Piece.arrival_tags.  Lemma 4's
-pinned check reads no tag flags, so it runs no tag kernel:
-engine.batch_pinned_tags runs one bitmask scan over the piece's series
-order per pinned time, shared by every maximal element.
+those.  Tallies add over the pieces into one per chunk.  Times pass only
+as order keys.  Acceptance and the last tag before t read only
+Piece.tag_keys, so on a chain they sort nothing and build no tag matrix;
+the lemma-2 checks, which count by arrival position, read
+Piece.arrival_tags.  Lemma 4's pinned check reads no tag flags, so it
+runs no tag kernel: engine.batch_pinned_tags runs one bitmask scan over
+the piece's series order per pinned time, shared by every maximal element.
 empirical_greedy_max is that check at t = 1: a maximal element pinned after
 every other arrival is tagged iff it is the greedy maximum.  Every scan
 lives in engine, and this module calls only its public names.  Every
@@ -242,12 +242,13 @@ def _tag_pattern_counts(piece: engine.Piece) -> np.ndarray:
 
 
 def _last_tag_values(t, piece: engine.Piece) -> list:
-    vals = engine.batch_last_tag_time(piece.times, piece.tagged, t)
+    vals = engine.batch_last_tag_time(piece.tag_keys, t)
     return [vals[~np.isnan(vals)]]  # a list: adding pieces joins them in row order
 
 
 def _pinned_hits(p, pins, piece: engine.Piece) -> np.ndarray:
-    return np.count_nonzero(engine.batch_pinned_tags(p, pins, piece.times, piece.worder), axis=1)
+    hits = engine.batch_pinned_tags(p, pins, piece.time_keys, piece.worder)
+    return np.count_nonzero(hits, axis=1)
 
 
 # -- estimation ---------------------------------------------------------------

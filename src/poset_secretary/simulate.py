@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .greedy import WeightRanking
 from .posets import Poset
 
 __all__ = [
@@ -73,13 +74,6 @@ class Trial:
         """Element ids sorted by arrival time (index breaks ties)."""
         return np.lexsort((np.arange(self.n), self.arrival_times))
 
-    def weight_rank(self) -> np.ndarray:
-        """rank[i] = weight position of element i, 0 lightest."""
-        order = np.lexsort((np.arange(self.n), self.weights))
-        rank = np.empty(self.n, dtype=int)
-        rank[order] = np.arange(self.n)
-        return rank
-
 
 @dataclass(frozen=True)
 class TagEvent:
@@ -122,7 +116,7 @@ def tag_sequence(p: Poset, trial: Trial) -> list[TagEvent]:
     """
     _check_dims(p, trial)
     order = trial.arrival_order()
-    rank = trial.weight_rank()
+    rank = WeightRanking.from_weights(trial.weights).rank
     lt = p.lt
     arrived: list[tuple[int, int]] = []  # (weight rank, element), kept sorted
     log = []

@@ -2,6 +2,8 @@
 reference in simulate / greedy — same tags, same acceptances, same RNG stream
 regardless of chunking."""
 
+import itertools
+import math
 import os
 import pickle
 import platform
@@ -37,6 +39,7 @@ from poset_secretary.families import (
     boolean_lattice,
     chain,
     forest_of_chains,
+    parse_generator_spec,
     random_poset,
     wedge,
 )
@@ -94,7 +97,7 @@ def series_order(p, trial):
     posts, each lightest first with ties broken by index."""
     blocks = [part for part in p.series_parts if len(part) > 1]
     block_of = {x: i for i, part in enumerate(blocks) for x in part}
-    rank = trial.weight_rank()
+    rank = WeightRanking.from_weights(trial.weights).rank
     return sorted(range(p.n), key=lambda x: (block_of.get(x, len(blocks)), rank[x]))
 
 
@@ -145,12 +148,13 @@ class TestChunking:
         top = np.uint64(59)  # a rank sits above 53 value bits and 6 index bits
         for seed in (99, (1 << 64) - 1):
             times, weights = chunk_uniforms(6, seed, 2, rows)
-            pieces = [(piece.times, piece.keys) for piece in chunk_tags(p, seed, 2, rows)]
+            pieces = [(piece.time_keys, piece.keys) for piece in chunk_tags(p, seed, 2, rows)]
             assert [len(t) for t, _ in pieces] == [len(r) for r in piece_rows(rows)]
-            drawn = np.concatenate([t for t, _ in pieces])
+            time_keys = np.concatenate([t for t, _ in pieces])
             keys = np.concatenate([k for _, k in pieces])
-            assert drawn.dtype == np.float64 and keys.dtype == np.uint64
-            assert np.array_equal(drawn.view(np.uint64), times.view(np.uint64))
+            assert time_keys.dtype == keys.dtype == np.uint64
+            assert np.array_equal(time_keys, keys[:, :6])
+            assert np.array_equal(time_keys, time_keys_of(times))
             # a key is the uniform's 53 bits above the element's index, and a
             # weight key carries the element's series rank above both
             assert np.array_equal(keys >> top << top,
@@ -303,7 +307,7 @@ class TestSeriesParts:
 
 
 class TestChunkTags:
-    FIELDS = ("times", "aorder", "worder", "tagged")
+    FIELDS = ("time_keys", "aorder", "worder", "tagged")
 
     @pytest.mark.parametrize(
         "p",
@@ -321,7 +325,7 @@ class TestChunkTags:
     def test_equals_the_kernel_on_the_whole_chunk_draw(self, p, rows):
         # the pieces, in row order, stack up to the kernel's whole-chunk output
         times, weights = chunk_uniforms(p.n, 8, 3, rows)
-        want = (times, _stable_argsort(times), *batch_tag_matrix(p, times, weights))
+        want = (time_keys_of(times), _stable_argsort(times), *batch_tag_matrix(p, times, weights))
         pieces = []
         for piece in chunk_tags(p, 8, 3, rows):
             pieces.append([getattr(piece, f) for f in self.FIELDS])
@@ -330,7 +334,7 @@ class TestChunkTags:
             assert np.array_equal(piece.arrival_tags, by_arrival.T)
         assert [len(piece[0]) for piece in pieces] == [len(r) for r in piece_rows(rows)]
         for piece in pieces:
-            assert [a.dtype for a in piece] == [np.float64, np.uint8, np.uint8, bool]
+            assert [a.dtype for a in piece] == [np.uint64, np.uint8, np.uint8, bool]
             assert len({a.shape for a in piece}) == 1
         got = [np.concatenate(a) for a in zip(*pieces)]
         for a, b in zip(got, want):
@@ -455,6 +459,8 @@ class TestPostRule:
             assert piece.tag_keys.shape == (p.n, hi - lo) and piece.tag_keys.dtype == np.uint64
             assert piece.tagged.dtype == bool and np.array_equal(piece.tagged, want[lo:hi])
             assert_tag_keys_hold_the_tagged_keys(piece.tag_keys, keys[lo:hi], want[lo:hi])
+            # row x belongs to element x: it holds x's own key exactly where x is tagged
+            assert np.array_equal(piece.tag_keys == keys[lo:hi].T, want[lo:hi].T)
             lo = hi
         assert lo == rows
 
@@ -479,6 +485,31 @@ class TestPostRule:
                     assert accepted[b] == (-1 if out.accepted is None else out.accepted)
                     assert success[b] == out.success
 
+    @pytest.mark.parametrize("p", [chain(6), from_relations(5, [(3, 0), (0, 4), (4, 1), (1, 2)])])
+    def test_the_last_tag_time_is_the_kernels(self, p):
+        order = np.array([part[0] for part in p.series_parts])
+        drawn, weights = batches(p.n, 400, seed=p.n + 1)
+        for times in with_quarter_times(drawn):
+            _, tagged = batch_tag_matrix(p, times, weights)
+            tag_keys = _running_minimum(time_keys_of(times), order)
+            for t in (0.25, 0.5, float(drawn[7, 2]), 1.0):
+                want = batch_last_tag_time(tag_keys_of(times, tagged), t)
+                got = batch_last_tag_time(tag_keys, t)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @given(
+        t=st.floats(0.0, 1.0, exclude_min=True),
+        k=st.integers(0, 2**53 - 1),
+        near=st.integers(-2, 2),
+        x=st.integers(0, 63),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_the_last_tag_bound_holds_exactly_the_keys_below_t(self, t, k, near, x):
+        # batch_last_tag_time keeps the keys below ceil(t * 2^53) << 6
+        bound = math.ceil(t * 2**53) << 6
+        for k in (k, min(max(math.ceil(t * 2**53) + near, 0), 2**53 - 1)):
+            assert ((k << 6 | x) < bound) == (k * 2.0**-53 < t)
+
     @given(
         tau=st.floats(0.0, 1.0, exclude_max=True),
         k=st.integers(0, 2**53 - 1),
@@ -492,6 +523,47 @@ class TestPostRule:
             assert ((k << 6 | x) > _tau_key(tau)) == (k * 2.0**-53 > tau)
 
 
+def every_arrival_order(n):
+    """(n!, n) times on a grid of 1/8 (n <= 8), one row per arrival order."""
+    orders = np.array(list(itertools.permutations(range(n))))
+    times = np.empty(orders.shape)
+    np.put_along_axis(times, orders, np.arange(n) / 8, axis=1)
+    return orders, times
+
+
+def assert_product_law(orders, tagged):
+    """Each tag pattern by arrival position (bit k-1 for the k-th arrival)
+    occurs n! * prod_k (1/k or 1 - 1/k) times over the n! arrival orders."""
+    n = orders.shape[1]
+    want = np.zeros(1 << n, dtype=np.int64)
+    for code in range(1 << n):
+        # the k-th arrival is tagged in 1 of k equally likely cases
+        want[code] = math.prod(1 if code >> (k - 1) & 1 else k - 1 for k in range(1, n + 1))
+    assert want.sum() == math.factorial(n) == len(orders)
+    codes = np.take_along_axis(tagged, orders, axis=1) @ (1 << np.arange(n))
+    assert np.array_equal(np.bincount(codes, minlength=1 << n), want)
+
+
+class TestExactTagLaw:
+    """Lemma 2 exactly, for one fixed weight row and all n! arrival orders."""
+
+    @pytest.mark.parametrize(
+        "spec", ["chain:7", "antichain:7", "wedge", "boolean:3", "random:7:0.3:42", "random:8:0.3:42"]
+    )
+    def test_the_triangle_gives_the_product_law(self, spec):
+        p = parse_generator_spec(spec).build()
+        orders, times = every_arrival_order(p.n)
+        weights = np.tile(np.random.default_rng(p.n).random(p.n), (len(times), 1))
+        assert_product_law(orders, batch_tag_matrix(p, times, weights)[1])
+
+    def test_the_post_rule_gives_the_product_law(self):
+        p = parse_generator_spec("chain:7").build()
+        orders, times = every_arrival_order(p.n)
+        time_keys = time_keys_of(times)
+        tag_keys = _running_minimum(time_keys, np.arange(p.n))
+        assert_product_law(orders, (tag_keys == time_keys.T).T)  # row x of the tag keys is x
+
+
 class TestLastTagTime:
     def test_matches_reference_scan(self):
         p = random_poset(6, 0.4, seed=2)
@@ -499,7 +571,7 @@ class TestLastTagTime:
         for times in with_quarter_times(drawn):
             _, tagged = batch_tag_matrix(p, times, weights)
             for t in (0.25, 0.3, 0.5, 0.7, 1.0):
-                got = batch_last_tag_time(times, tagged, t)
+                got = batch_last_tag_time(tag_keys_of(times, tagged), t)
                 for b in range(400):
                     evs = tag_sequence(p, Trial(times[b], weights[b]))
                     ref = [e.time for e in evs if e.tagged and e.time < t]
@@ -513,7 +585,7 @@ class TestLastTagTime:
         times = np.array([[0.8, 0.9]])
         weights = np.array([[0.1, 0.2]])
         _, tagged = batch_tag_matrix(p, times, weights)
-        assert np.isnan(batch_last_tag_time(times, tagged, 0.5)[0])
+        assert np.isnan(batch_last_tag_time(tag_keys_of(times, tagged), 0.5)[0])
 
 
 class TestBatchGreedyMax:

@@ -33,7 +33,6 @@ from poset_secretary.greedy import (
     check_mu_monotonicity,
     greedy_chain,
     greedy_maximum,
-    is_tagged,
     mu_exact,
     mu_t_exact,
 )
@@ -112,7 +111,7 @@ class TestGreedyChain:
 class TestTagging:
     def test_first_arrival_always_tagged(self):
         p_x = induced_subposet(chain(5), SubsetMap((2,)))
-        assert is_tagged(p_x, 0, WeightRanking((0,)))
+        assert greedy_maximum(p_x, WeightRanking((0,))) == 0
 
     def test_tag_depends_on_exposed_relations_only(self):
         # exposed = {0, 2} inside chain(3): 0 < 2, so 2 is tagged iff it is
@@ -120,12 +119,12 @@ class TestTagging:
         p = chain(3)
         p_x = induced_subposet(p, SubsetMap((0, 2)))
         for rank in [(0, 1), (1, 0)]:
-            assert is_tagged(p_x, 1, WeightRanking(rank))
+            assert greedy_maximum(p_x, WeightRanking(rank)) == 1
 
     def test_incomparable_arrival_tagged_iff_lighter(self):
         p_x = induced_subposet(antichain(3), SubsetMap((0, 1)))
-        assert is_tagged(p_x, 1, WeightRanking((1, 0)))
-        assert not is_tagged(p_x, 1, WeightRanking((0, 1)))
+        assert greedy_maximum(p_x, WeightRanking((1, 0))) == 1
+        assert greedy_maximum(p_x, WeightRanking((0, 1))) != 1
 
 
 class TestMuExact:

@@ -4,11 +4,13 @@ Statistical assertions here run at moderate trial counts with pinned seeds;
 the million-trial battery lives in the acceptance tests.
 """
 
+import itertools
 import math
 import multiprocessing
 import os
 import tracemalloc
 from concurrent.futures import Future
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -17,7 +19,14 @@ import pytest
 from poset_secretary import engine, greedy, montecarlo
 from poset_secretary.engine import CHUNK_TRIALS, SIM_CAP, batch_tag_matrix
 from poset_secretary.errors import NotMaximalError, TooLargeError, ZeroTrialsError
-from poset_secretary.families import antichain, boolean_lattice, chain, random_poset, wedge
+from poset_secretary.families import (
+    antichain,
+    boolean_lattice,
+    chain,
+    parse_generator_spec,
+    random_poset,
+    wedge,
+)
 from poset_secretary.greedy import WeightRanking, greedy_maximum, mu_exact
 from poset_secretary.montecarlo import (
     LAST_TAG_TIMES,
@@ -38,6 +47,7 @@ from poset_secretary.montecarlo import (
 )
 from poset_secretary.posets import Poset
 from poset_secretary.simulate import Trial, tag_sequence
+from test_engine import tag_keys_of, time_keys_of
 
 TRIALS = 40_000
 
@@ -302,7 +312,7 @@ class TestLastTagUniform:
         [samples] = montecarlo._tag_chunk(p, reducers, seed, chunk, rows)
         times, weights = engine.chunk_uniforms(p.n, seed, chunk, rows)
         _, tagged = batch_tag_matrix(p, times, weights)
-        want = engine.batch_last_tag_time(times, tagged, t)
+        want = engine.batch_last_tag_time(tag_keys_of(times, tagged), t)
         assert len(samples) == 2
         got = np.concatenate(samples)
         assert np.array_equal(got.view(np.uint64), want[~np.isnan(want)].view(np.uint64))
@@ -407,7 +417,7 @@ def assert_quantised_pins_match(p, quantum, series):
     else:
         worder = np.argsort(weights, axis=1, kind="stable")
     pins = [(x, t) for x in sorted(p.maximal) for t in (0.0, 0.25, 0.5, 1.0)]
-    got = engine.batch_pinned_tags(p, pins, times, worder)
+    got = engine.batch_pinned_tags(p, pins, time_keys_of(times), worder)
     assert got.shape == (len(pins), 200)
     for (x, t), flags in zip(pins, got):
         assert np.array_equal(flags, pinned_reference(p, x, t, times, weights)), (x, t)
@@ -439,10 +449,43 @@ class TestPinnedScan:
         times, weights = engine.chunk_uniforms(p.n, 17, 0, 500)
         worder, _ = batch_tag_matrix(p, times, weights)
         pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
-        got = engine.batch_pinned_tags(p, pins, times, worder)
+        got = engine.batch_pinned_tags(p, pins, time_keys_of(times), worder)
         assert len(scans) == len(PINNED_TIMES)
         for (x, t), flags in zip(pins, got):
             assert np.array_equal(flags, pinned_reference(p, x, t, times, weights)), (x, t)
+
+
+class TestExactPinnedLaw:
+    """Lemma 4 exactly: x pinned at t is tagged with probability mu_t(x).
+
+    Pinned at 1/2, x sees each other element arrive first (at 1/4) or later
+    (at 3/4); H_k counts the rows, over every such set S of size k and every
+    weight order, in which x is tagged.  A time t puts each other element
+    before x with probability t, so the law asks
+    sum_k t^k (1-t)^(n-1-k) H_k / n! == mu_t(x) for every t.
+    """
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["chain:7", "antichain:7", "wedge", "boolean:2", "forest:2,3,2", "random:7:0.3:42",
+         "random:6:0.5:1"],
+    )
+    def test_pinned_tags_give_mu_t(self, spec):
+        p = parse_generator_spec(spec).build()
+        n, table = p.n, mu_exact(p)
+        worder = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+        first = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1  # one row per S
+        for x in sorted(p.maximal):
+            others = [y for y in range(n) if y != x]
+            times = np.full((len(first), n), 0.75)
+            times[:, others] = np.where(first, 0.25, 0.75)
+            rows = np.repeat(time_keys_of(times), len(worder), axis=0)
+            [hits] = engine.batch_pinned_tags(p, [(x, 0.5)], rows, np.tile(worder, (len(first), 1)))
+            per_set = hits.reshape(len(first), len(worder)).sum(axis=1)
+            h = np.bincount(first.sum(axis=1), weights=per_set, minlength=n).astype(int)
+            for t in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
+                law = sum(t**k * (1 - t) ** (n - 1 - k) * int(h[k]) for k in range(n))
+                assert law / math.factorial(n) == table.mu_t(x, t), (x, t)
 
 
 class TestVerifyLemmas:
@@ -513,9 +556,9 @@ class TestWorkSkipped:
 
     def test_an_all_post_simulate_sorts_nothing(self, monkeypatch):
         # a chain's tags and acceptance come from one running minimum of its
-        # time keys: no key sort, no tag kernel and no float times
+        # time keys: no key sort, no tag kernel and no tag flags
         def refused(*args):
-            raise AssertionError("sorted keys, ran the tag kernel or built float times on a chain")
+            raise AssertionError("sorted keys, ran the tag kernel or built tag flags on a chain")
 
         accepted = []
 
@@ -525,7 +568,7 @@ class TestWorkSkipped:
 
         monkeypatch.setattr(engine, "_key_order", refused)
         monkeypatch.setattr(engine, "_tag_sub_batch", refused)
-        monkeypatch.setattr(engine.Piece, "times", property(refused))
+        monkeypatch.setattr(engine.Piece, "tagged", property(refused))
         monkeypatch.setattr(engine, "batch_accept", recorded)
         rows = 2 * engine._SUB_BATCH + 5
         estimate_success(chain(20), trials=rows, master_seed=3)
@@ -539,6 +582,17 @@ class TestWorkSkipped:
         at = (tag_keys & 63).astype(np.intp)
         assert np.array_equal(drawn.view(np.uint64), times.T[at, np.arange(rows)].view(np.uint64))
         assert np.array_equal(drawn[-1].view(np.uint64), times[:, 19].view(np.uint64))
+
+    def test_a_chain_lemma_3_pass_builds_no_tag_matrix(self, monkeypatch):
+        # the last tag before t is read off the running minimum's tag keys
+        def refused(*args):
+            raise AssertionError("sorted keys, ran the tag kernel or built tag flags on a chain")
+
+        monkeypatch.setattr(engine, "_key_order", refused)
+        monkeypatch.setattr(engine, "_tag_sub_batch", refused)
+        monkeypatch.setattr(engine.Piece, "tagged", property(refused))
+        reports = verify_lemmas(chain(20), ["3"], 2 * engine._SUB_BATCH + 5, master_seed=3)
+        assert len(reports) == len(LAST_TAG_TIMES)
 
 
 class TestChunkFootprint:

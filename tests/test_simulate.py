@@ -51,10 +51,6 @@ class TestTrial:
         t = trial([0.5, 0.5, 0.1], [0.1, 0.2, 0.3])
         assert t.arrival_order().tolist() == [2, 0, 1]
 
-    def test_weight_rank_matches_ranking_helper(self):
-        t = trial([0.1, 0.2, 0.3], [0.9, 0.2, 0.5])
-        assert tuple(t.weight_rank()) == WeightRanking.from_weights(t.weights).rank
-
 
 class TestSampling:
     def test_sample_trial_shapes_and_determinism(self):
