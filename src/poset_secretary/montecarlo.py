@@ -2,16 +2,19 @@
 
 Every routine here is a pure function of (poset, parameters, master seed):
 trials are drawn in canonical chunks (see engine), tallies are integer
-counts, added, or last-tag samples, joined in trial order, so worker count
-is purely a speed knob.  Verification checks default to alpha=0.001 per
-test, with no family-wise control, so a suite of dozens of tests flags a
-correct implementation far more often than alpha.
+counts, added, or last-tag samples, copied in trial order into one buffer,
+so worker count is purely a speed knob.  Verification checks default to
+alpha=0.001 per test, with no family-wise control, so a suite of dozens of
+tests flags a correct implementation far more often than alpha.
 
 One pass per chunk: each canonical chunk is drawn once, piece by piece
 (_tag_chunk, through engine.chunk_tags), and every statistic is a reducer
 that reads only the engine.Piece fields it needs, so a pass builds only
-those.  Tallies add over the pieces into one per chunk.  Times pass only
-as order keys.  Acceptance and the last tag before t read only
+those.  Tallies add over the pieces into one per chunk, and the chunks'
+tallies add into running totals as they arrive (_fold), so no list of
+per-chunk tallies is kept; lemma 3's samples fill a float64 buffer of
+fixed size, which its report divides, sorts and tests in place.  Times
+pass only as order keys.  Acceptance and the last tag before t read only
 Piece.tag_keys, so on a chain they sort nothing and build no tag matrix;
 the lemma-2 checks, which count by arrival position, read
 Piece.arrival_tags.  Lemma 4's pinned check reads no tag flags, so it
@@ -43,12 +46,13 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from multiprocessing import Value
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -156,26 +160,84 @@ def _pin_worker(started) -> None:
             os.sched_setaffinity(0, {cpus[started.value % len(cpus)]})
 
 
-def _run_chunks(task: Callable, trials: int, workers: int) -> list:
-    """Apply a per-chunk tally function over the canonical chunk layout.
+def _run_chunks(task: Callable, trials: int, workers: int) -> Iterator:
+    """Yield a per-chunk tally function's results over the canonical chunk layout.
 
-    Results come in chunk order, so every report, lemma 3's row-ordered
-    float samples included, is partition-independent.  The pool forks all
-    its workers up front: no more than chunks, or than usable CPUs.
+    Results come in chunk order, each as soon as its chunk is done, so every
+    total, lemma 3's row-ordered float samples included, is
+    partition-independent.  The layout is walked lazily, and a pool keeps at
+    most 2 * workers chunks submitted and unread, so neither grows with
+    trials.  The pool forks all its workers up front: no more than chunks,
+    or than usable CPUs.
     """
     if trials < 1:
         raise ZeroTrialsError("need at least one trial")
-    layout = engine.chunk_layout(trials)
+    size = engine.CHUNK_TRIALS
+    chunks = -(-trials // size)
+    layout = ((c, min(size, trials - c * size)) for c in range(chunks))
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(workers, len(layout), cpus)
+    workers = min(workers, chunks, cpus)
     if workers == 1:
-        return [task(c, rows) for c, rows in layout]
+        for c, rows in layout:
+            yield task(c, rows)
+        return
     with ProcessPoolExecutor(workers, initializer=_pin_worker, initargs=(Value("i"),)) as pool:
-        futures = [pool.submit(task, c, rows) for c, rows in layout]
-        return [f.result() for f in futures]
+        window = deque()
+        for c, rows in layout:
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+            window.append(pool.submit(task, c, rows))
+        while window:
+            yield window.popleft().result()
+
+
+class _Samples:
+    """Last-tag samples in trial order: the front of a float64 buffer of fixed size.
+
+    `+=` copies another tally's samples in after its own; the buffer never
+    grows.  A pickled tally carries only its samples.
+    """
+
+    __slots__ = ("buffer", "size")
+
+    def __init__(self, buffer: np.ndarray, size: int):
+        self.buffer, self.size = buffer, size
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.buffer[: self.size]
+
+    def __iadd__(self, other: _Samples) -> _Samples:
+        end = self.size + other.size
+        self.buffer[self.size : end] = other.values
+        self.size = end
+        return self
+
+    def __reduce__(self):
+        return _Samples, (self.values, self.size)
+
+
+def _fold(tallies: Iterator[Sequence], size: int) -> list:
+    """Add a stream of tally lists into running totals, position by position.
+
+    The first list starts the totals, each sample tally copied into a buffer
+    of `size` samples; every later one adds in place: an array adds, a
+    sample tally copies its samples in after the total's.
+    """
+    totals = []
+    for tally in next(tallies):
+        if isinstance(tally, _Samples):
+            total = _Samples(np.empty(size), 0)
+            total += tally
+            tally = total
+        totals.append(tally)
+    for tally in tallies:
+        for total, more in zip(totals, tally):
+            total += more
+    return totals
 
 
 def _tag_chunk(
@@ -183,12 +245,7 @@ def _tag_chunk(
 ) -> list:
     """Draw and tag one canonical chunk; one tally per reducer, added over its pieces."""
     pieces = engine.chunk_tags(p, master_seed, chunk, rows)
-    # a chunk has rows; its first piece starts every tally and is not kept
-    tallies = [reduce(piece) for piece in [next(pieces)] for reduce in reducers]
-    for piece in pieces:
-        for tally, reduce in zip(tallies, reducers):
-            tally += reduce(piece)  # in place: an array adds, a list extends
-    return tallies
+    return _fold(([reduce(piece) for reduce in reducers] for piece in pieces), rows)
 
 
 def _run_checks(
@@ -197,9 +254,11 @@ def _run_checks(
     """Every check over one pass of the canonical chunks; reports in check order.
 
     A check is a (reducer, report) pair, built only after its parameters are
-    validated: the reducer runs on every piece, and report turns the list
-    of per-chunk tallies, in chunk order, into a list of results.  Checks
-    that share a reducer share its tally, so it runs once per piece.
+    validated: the reducer runs on every piece, each chunk's tallies add
+    into running totals as they arrive, and report turns its reducer's
+    total into a list of results.  Checks that share a reducer share its
+    total, so it runs once per piece; a report may change its total in
+    place only when no other check shares that reducer.
     """
     engine.check_seed(master_seed)
     if workers < 1:
@@ -209,11 +268,11 @@ def _run_checks(
     if not checks:
         return []
     reducers = tuple(dict.fromkeys(reduce for reduce, _ in checks))
-    per_chunk = _run_chunks(partial(_tag_chunk, p, reducers, master_seed), trials, workers)
-    tallies = dict(zip(reducers, zip(*per_chunk)))
+    chunks = _run_chunks(partial(_tag_chunk, p, reducers, master_seed), trials, workers)
+    totals = dict(zip(reducers, _fold(chunks, trials)))
     reports = []
     for reduce, report in checks:
-        reports += report(list(tallies[reduce]))
+        reports += report(totals[reduce])
     return reports
 
 
@@ -241,9 +300,10 @@ def _tag_pattern_counts(piece: engine.Piece) -> np.ndarray:
     return np.bincount(codes, minlength=1 << len(flags))
 
 
-def _last_tag_values(t, piece: engine.Piece) -> list:
+def _last_tag_values(t, piece: engine.Piece) -> _Samples:
     vals = engine.batch_last_tag_time(piece.tag_keys, t)
-    return [vals[~np.isnan(vals)]]  # a list: adding pieces joins them in row order
+    vals = vals[~np.isnan(vals)]
+    return _Samples(vals, vals.size)
 
 
 def _pinned_hits(p, pins, piece: engine.Piece) -> np.ndarray:
@@ -274,9 +334,9 @@ def threshold_sweep(
         if not 0.0 <= tau < 1.0:
             raise ValueError(f"tau must lie in [0, 1), got {tau}")
 
-    def report(tallies):
+    def report(total):
         out = []
-        for tau, successes in zip(taus, np.sum(tallies, axis=0).tolist()):
+        for tau, successes in zip(taus, total.tolist()):
             low, high = wilson_interval(successes, trials)
             p_hat = successes / trials
             out.append(Estimate(successes, trials, p_hat, low, high, master_seed, tau))
@@ -309,9 +369,9 @@ def empirical_greedy_max(
     engine.check_sim_cap(p.n)
     tops = sorted(p.maximal)
 
-    def report(tallies):
+    def report(total):
         counts = np.zeros(p.n, dtype=np.int64)
-        counts[tops] = np.sum(tallies, axis=0)
+        counts[tops] = total
         return [counts]
 
     check = partial(_pinned_hits, p, [(x, 1.0) for x in tops]), report
@@ -336,8 +396,8 @@ def _marginal_check(p: Poset, trials: int, alpha: float) -> tuple:
             f"({MIN_PER_POSITION} per position)"
         )
 
-    def report(tallies):
-        marg = np.diagonal(np.sum(tallies, axis=0))
+    def report(total):
+        marg = np.diagonal(total)
         reports = []
         for k in range(1, p.n + 1):
             hits = int(marg[k - 1])
@@ -368,8 +428,7 @@ def verify_tag_marginals(
 def _independence_check(p: Poset, trials: int, alpha: float) -> tuple:
     engine.check_sim_cap(p.n)
 
-    def report(tallies):
-        joint = np.sum(tallies, axis=0)
+    def report(joint):
         marg = np.diagonal(joint)
         reports = []
         for j in range(1, p.n + 1):
@@ -421,8 +480,7 @@ def verify_tag_joint(
     if p.n > JOINT_CHECK_CAP:
         raise TooLargeError(f"joint check tabulates 2^n patterns; n={p.n} exceeds {JOINT_CHECK_CAP}")
 
-    def report(tallies):
-        pattern = np.sum(tallies, axis=0)
+    def report(pattern):
         codes = np.arange(1 << p.n)
         prob = np.ones(1 << p.n, dtype=float)
         for k in range(1, p.n + 1):
@@ -447,11 +505,14 @@ def _last_tag_check(p: Poset, t: float, alpha: float) -> tuple:
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
 
-    def report(tallies):
-        values = np.concatenate([v for samples in tallies for v in samples]) / t
+    def report(samples):
+        # each check binds its own reducer, so this buffer is the report's own
+        values = samples.values
         if values.size == 0:
             raise ValueError("no trial had an arrival before t; increase trials")
-        ks, pval = pvalues.ks_uniform(values)
+        values /= t
+        values.sort()
+        ks, pval = pvalues.ks_uniform_sorted(values)
         size = int(values.size)
         return [_tested(f"last_tag_uniform[t={t!r}]", ks, "uniform[0,1]", pval, alpha, size)]
 
@@ -491,9 +552,9 @@ def _pinned_check(
     if table is None:
         table = mu_exact(p)
 
-    def report(tallies):
+    def report(total):
         reports = []
-        for (x, t), hits in zip(pins, np.sum(tallies, axis=0)):
+        for (x, t), hits in zip(pins, total):
             mu = float(table.mu_t(x, Fraction(t)))
             freq = int(hits) / trials
             passed = abs(freq - mu) <= 4.0 * math.sqrt(mu * (1.0 - mu) / trials)

@@ -11,6 +11,8 @@ algorithm on the same scipy.special kernels:
   * chi2_gof(obs, exp)          = chisquare(obs, exp)
   * ks_uniform(values)          = kstest(values, "uniform")[:2]
 
+ks_uniform_sorted is ks_uniform on values already sorted, tested in place.
+
 The binomial test reads the private scipy.special._ufuncs._binom_* kernels
 that SciPy's binom distribution calls; the public bdtr family differs in the
 last bits.  The KS p-value is the exact kstwo.sf of Simard & L'Ecuyer
@@ -30,7 +32,7 @@ import numpy as np
 from scipy import special
 from scipy.special import _ufuncs as _scu
 
-__all__ = ["binom_two_sided", "chi2_2x2", "chi2_gof", "ks_uniform"]
+__all__ = ["binom_two_sided", "chi2_2x2", "chi2_gof", "ks_uniform", "ks_uniform_sorted"]
 
 
 # -- exact binomial test ------------------------------------------------------
@@ -135,6 +137,8 @@ def chi2_gof(obs, exp) -> tuple[float, float]:
 
 
 # -- one-sample Kolmogorov-Smirnov ---------------------------------------------
+
+_KS_BLOCK = 1 << 15  # values per step of ks_uniform_sorted's D
 
 _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)
@@ -386,13 +390,25 @@ def _kolmogn_sf(n: int, x) -> float:
 
 def ks_uniform(values) -> tuple[float, float]:
     """Two-sided one-sample KS test of values against Uniform[0, 1], exact p-value."""
-    x = np.sort(np.asarray(values, dtype=np.float64))
+    return ks_uniform_sorted(np.sort(np.asarray(values, dtype=np.float64)))
+
+
+def ks_uniform_sorted(x: np.ndarray) -> tuple[float, float]:
+    """ks_uniform of an ascending float64 array, which it clips to [0, 1] in place.
+
+    D is taken _KS_BLOCK values at a time, so no temporary grows with the
+    sample; each block's terms are those of the whole-array formula.
+    """
     n = x.size
     if n == 0:
         raise ValueError("need at least one value")
-    cdfvals = np.clip(x, 0.0, 1.0)
-    dplus = np.max(np.arange(1.0, n + 1) / n - cdfvals)
-    dminus = np.max(cdfvals - np.arange(0.0, n) / n)
+    np.clip(x, 0.0, 1.0, out=x)
+    dplus = dminus = -np.inf
+    for lo in range(0, n, _KS_BLOCK):
+        cdfvals = x[lo:lo + _KS_BLOCK]
+        hi = lo + cdfvals.size
+        dplus = max(dplus, np.max(np.arange(lo + 1.0, hi + 1) / n - cdfvals))
+        dminus = max(dminus, np.max(cdfvals - np.arange(float(lo), hi) / n))
     d = dplus if dplus > dminus else dminus
     if d <= 0.5 / n:
         prob = 1.0

@@ -8,6 +8,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import pickle
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
@@ -308,14 +309,23 @@ class TestLastTagUniform:
         # two pieces, joined in row order: the kernel's values on the whole
         # chunk draw, the trials with no arrival before t left out
         p, seed, chunk, rows = random_poset(8, 0.3, seed=42), 5, 2, engine._SUB_BATCH + 5
-        reducers = (partial(montecarlo._last_tag_values, t),)
-        [samples] = montecarlo._tag_chunk(p, reducers, seed, chunk, rows)
+        pieces = []
+
+        def reduce(piece):
+            pieces.append(piece)
+            return montecarlo._last_tag_values(t, piece)
+
+        [samples] = montecarlo._tag_chunk(p, (reduce,), seed, chunk, rows)
         times, weights = engine.chunk_uniforms(p.n, seed, chunk, rows)
         _, tagged = batch_tag_matrix(p, times, weights)
         want = engine.batch_last_tag_time(tag_keys_of(times, tagged), t)
-        assert len(samples) == 2
-        got = np.concatenate(samples)
+        assert len(pieces) == 2
+        assert samples.buffer.size == rows  # one buffer of the chunk's rows, filled in order
+        got = samples.values
         assert np.array_equal(got.view(np.uint64), want[~np.isnan(want)].view(np.uint64))
+        # a chunk's tally travels from a pool worker as its samples alone
+        sent = pickle.loads(pickle.dumps(samples))
+        assert sent.buffer.size == samples.size and np.array_equal(sent.values, got)
 
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_uniform_on_null(self, t):
@@ -638,6 +648,23 @@ class TestChunkFootprint:
         assert peak < CHUNK_TRIALS * p.n * np.dtype(np.float64).itemsize
 
 
+class TestLastTagFootprint:
+    def test_lemma_3_totals_peak_below_two_sample_buffers_and_a_chunk(self):
+        # each t's samples fill one float64 buffer of `trials`, which its
+        # report divides, sorts and tests in place; the rest is one chunk
+        # pass's working set
+        p, trials = random_poset(8, 0.3, seed=42), 8 * CHUNK_TRIALS
+        tracemalloc.start()
+        try:
+            reports = verify_lemmas(p, ["3"], trials, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == len(LAST_TAG_TIMES)
+        itemsize = np.dtype(np.float64).itemsize
+        assert peak < 2 * itemsize * trials + CHUNK_TRIALS * p.n * itemsize
+
+
 class TestDeterminismAcrossChunks:
     def test_partial_chunks_do_not_depend_on_layout(self):
         # trials just over one chunk boundary: totals must equal the sum of
@@ -650,14 +677,35 @@ class TestDeterminismAcrossChunks:
         assert a == b
 
 
+class ReadOnce(Future):
+    """A finished future that leaves its pool's unread set when its result is read."""
+
+    def __init__(self, unread, value):
+        super().__init__()
+        self.set_result(value)
+        self.unread = unread
+        unread.add(self)
+
+    def result(self, timeout=None):
+        self.unread.discard(self)
+        return super().result(timeout)
+
+
 class TestPoolSize:
     @staticmethod
-    def inline_pool(sizes):
+    def inline_pool(sizes, windows=None, submitted=None):
+        windows = [] if windows is None else windows
+        submitted = [] if submitted is None else submitted
+
         class InlinePool:
-            """Stands in for ProcessPoolExecutor: records its size, runs tasks in-process."""
+            """Stands in for ProcessPoolExecutor: records its size, the most
+            futures it held submitted and unread, and every submitted chunk;
+            runs tasks in-process."""
 
             def __init__(self, max_workers, initializer=None, initargs=()):
                 sizes.append(max_workers)
+                windows.append(0)
+                self.unread = set()
 
             def __enter__(self):
                 return self
@@ -666,8 +714,9 @@ class TestPoolSize:
                 return False
 
             def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
+                submitted.append(args)
+                future = ReadOnce(self.unread, fn(*args))
+                windows[-1] = max(windows[-1], len(self.unread))
                 return future
 
         return InlinePool
@@ -677,9 +726,9 @@ class TestPoolSize:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self.inline_pool(sizes))
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         trials = 2 * CHUNK_TRIALS + 4464  # three chunks
-        got = _run_chunks(lambda c, rows: (c, rows), trials, workers=64)
+        got = list(_run_chunks(lambda c, rows: (c, rows), trials, workers=64))
         assert got == engine.chunk_layout(trials)
-        assert _run_chunks(lambda c, rows: (c, rows), trials, workers=2) == got
+        assert list(_run_chunks(lambda c, rows: (c, rows), trials, workers=2)) == got
         assert sizes == [3, 2]
         assert multiprocessing.active_children() == []
 
@@ -689,7 +738,7 @@ class TestPoolSize:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self.inline_pool(pools))
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: cpus)
         trials = 40 * CHUNK_TRIALS  # forty chunks: one CPU runs them in-process
-        got = _run_chunks(lambda c, rows: (c, rows), trials, workers=100_000)
+        got = list(_run_chunks(lambda c, rows: (c, rows), trials, workers=100_000))
         assert got == engine.chunk_layout(trials)
         assert pools == sizes
         assert multiprocessing.active_children() == []
@@ -701,8 +750,31 @@ class TestPoolSize:
         for count, size in [(3, [3]), (None, [])]:  # an unknown count is one CPU
             pools.clear()
             monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: count)
-            assert _run_chunks(lambda c, rows: c, 5 * CHUNK_TRIALS, workers=8) == [0, 1, 2, 3, 4]
+            got = list(_run_chunks(lambda c, rows: c, 5 * CHUNK_TRIALS, workers=8))
+            assert got == [0, 1, 2, 3, 4]
             assert pools == size
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_pool_keeps_at_most_twice_its_workers_unread(self, monkeypatch, workers):
+        sizes, windows = [], []
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self.inline_pool(sizes, windows))
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        trials = 40 * CHUNK_TRIALS + 17
+        got = list(_run_chunks(lambda c, rows: (c, rows), trials, workers=workers))
+        assert got == engine.chunk_layout(trials)
+        assert sizes == [workers] and windows == [2 * workers]
+
+    def test_the_layout_is_walked_as_results_are_read(self, monkeypatch):
+        # 305,176 chunks: reading the first three submits less than a window
+        # more, since the pool hands out a result before it submits again
+        submitted = []
+        pool = self.inline_pool([], submitted=submitted)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        chunks = _run_chunks(lambda c, rows: (c, rows), 10**10, workers=2)
+        assert list(itertools.islice(chunks, 3)) == [(c, CHUNK_TRIALS) for c in range(3)]
+        chunks.close()
+        assert submitted == [(c, CHUNK_TRIALS) for c in range(3 + 2 * 2 - 1)]
 
 
 def _placement(chunk, rows):

@@ -151,3 +151,25 @@ def test_ks_random_samples():
 def test_ks_rejects_an_empty_sample():
     with pytest.raises(ValueError):
         pvalues.ks_uniform(np.array([]))
+    with pytest.raises(ValueError):
+        pvalues.ks_uniform_sorted(np.array([]))
+
+
+@pytest.mark.parametrize("n", [pvalues._KS_BLOCK + k for k in (-1, 0, 1)] + [2 * pvalues._KS_BLOCK + 3])
+def test_ks_sorted_core_across_its_blocks(n):
+    # D is taken block by block; on each side of the block size it must give
+    # kstest's bits, values outside [0, 1] included (the core clips them)
+    rng = np.random.default_rng(n)
+    for values in (rng.random(n), rng.random(n) ** 1.01, rng.random(n) * 1.0001 - 0.00005):
+        ks, pval = stats.kstest(values, "uniform")
+        x = np.sort(values)
+        got = pvalues.ks_uniform_sorted(x)
+        assert same_bits(got[0], ks) and same_bits(got[1], pval)
+        assert np.array_equal(x, np.clip(np.sort(values), 0.0, 1.0))  # clipped in place
+
+
+def test_ks_uniform_leaves_its_argument_unchanged():
+    values = np.random.default_rng(3).random(1000) * 1.2 - 0.1
+    kept = values.copy()
+    pvalues.ks_uniform(values)
+    assert np.array_equal(values.view(np.uint64), kept.view(np.uint64))
