@@ -181,15 +181,13 @@ def _philox(master_seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunk_layout(trials: int) -> list[tuple[int, int]]:
-    """(chunk_index, rows) pairs covering the first `trials` trials."""
-    out = []
+def chunk_layout(trials: int) -> Iterator[tuple[int, int]]:
+    """(chunk_index, rows) pairs covering the first `trials` trials, lazily, in chunk order."""
     full, rest = divmod(trials, CHUNK_TRIALS)
     for c in range(full):
-        out.append((c, CHUNK_TRIALS))
+        yield c, CHUNK_TRIALS
     if rest:
-        out.append((full, rest))
-    return out
+        yield full, rest
 
 
 def chunk_uniforms(

@@ -24,9 +24,15 @@ empirical_greedy_max is that check at t = 1: a maximal element pinned after
 every other arrival is tagged iff it is the greedy maximum.  Every scan
 lives in engine, and this module calls only its public names.  Every
 estimate and check is a (reducer, report) pair run by _run_checks:
-verify_lemmas runs all requested checks over one pass and at most one
-process pool, and each per-lemma function and threshold_sweep run the same
-code path with their own.
+verify_lemmas runs all requested checks over one pass, and each per-lemma
+function and threshold_sweep run the same code path with their own.
+
+With workers > 1 the chunks run on forked children, one pipe each
+(_run_chunks): child i computes chunks i, i + workers, ..., pickles each
+chunk's tallies into its pipe and blocks there until they are read, so it
+runs at most one chunk ahead; the parent computes none and reads the
+chunks back in chunk order.  Where os.fork does not exist they run
+in-process.  Either way the bytes out are the same.
 
 P-values come from pvalues: the exact two-sided binomial test for each tag
 marginal, Pearson's chi-square for pairwise independence and the joint
@@ -44,14 +50,19 @@ Verified laws, all at desk scale:
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
+
+# Not used here: bound so that tools which patch montecarlo.ProcessPoolExecutor
+# (perfbench's tracer replaces it to time pools) still find the name.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from multiprocessing import Value
 from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
@@ -151,47 +162,103 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # -- chunked drivers ---------------------------------------------------------
 
 
-def _pin_worker(started) -> None:
-    """Pool initializer: worker i runs on the i-th allowed CPU, not stacked on its parent's."""
-    with started:
-        started.value += 1
-        if hasattr(os, "sched_setaffinity"):
-            cpus = sorted(os.sched_getaffinity(0))
-            os.sched_setaffinity(0, {cpus[started.value % len(cpus)]})
-
-
 def _run_chunks(task: Callable, trials: int, workers: int) -> Iterator:
     """Yield a per-chunk tally function's results over the canonical chunk layout.
 
     Results come in chunk order, each as soon as its chunk is done, so every
     total, lemma 3's row-ordered float samples included, is
-    partition-independent.  The layout is walked lazily, and a pool keeps at
-    most 2 * workers chunks submitted and unread, so neither grows with
-    trials.  The pool forks all its workers up front: no more than chunks,
-    or than usable CPUs.
+    partition-independent.  With one worker, or where os.fork does not
+    exist, the chunks run in this process; otherwise on forked children
+    (_forked_chunks): no more than chunks, or than usable CPUs.
     """
     if trials < 1:
         raise ZeroTrialsError("need at least one trial")
-    size = engine.CHUNK_TRIALS
-    chunks = -(-trials // size)
-    layout = ((c, min(size, trials - c * size)) for c in range(chunks))
+    chunks = -(-trials // engine.CHUNK_TRIALS)
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
+        cpus = sorted(os.sched_getaffinity(0))
     else:
-        cpus = os.cpu_count() or 1
-    workers = min(workers, chunks, cpus)
-    if workers == 1:
-        for c, rows in layout:
+        cpus = [None] * (os.cpu_count() or 1)  # a count alone: nowhere to pin
+    workers = min(workers, chunks, len(cpus))
+    if workers == 1 or not hasattr(os, "fork"):
+        for c, rows in engine.chunk_layout(trials):
             yield task(c, rows)
         return
-    with ProcessPoolExecutor(workers, initializer=_pin_worker, initargs=(Value("i"),)) as pool:
-        window = deque()
-        for c, rows in layout:
-            if len(window) == 2 * workers:
-                yield window.popleft().result()
-            window.append(pool.submit(task, c, rows))
-        while window:
-            yield window.popleft().result()
+    # child i goes on allowed CPU (i + 1) mod cpus, counting from 0; the caller stays unpinned
+    yield from _forked_chunks(task, trials, [cpus[(i + 1) % len(cpus)] for i in range(workers)])
+
+
+def _forked_chunks(task: Callable, trials: int, cpus: Sequence) -> Iterator:
+    """Run chunks on one forked child per CPU in `cpus`; yield results in chunk order.
+
+    Child i computes chunks c = i (mod children) in order, pinned to cpus[i]
+    when that is a CPU number, and writes each result to its own pipe as one
+    pickle; this process computes none and reads chunk c from child
+    c mod children.  A child blocks on its pipe until its last chunk is read
+    (bar the pipe's buffer), so it runs at most one chunk ahead.  A task's
+    exception is raised here, and a child that dies before sending a chunk
+    makes this raise RuntimeError.  However the pass ends, every child is
+    killed and reaped.
+    """
+    workers = len(cpus)
+    children = []  # (pid, read end of its pipe)
+    try:
+        for i, cpu in enumerate(cpus):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: it must never return into this frame
+                code = 1
+                try:
+                    os.close(r)
+                    for _, reader in children:
+                        reader.close()
+                    _serve(task, trials, i, workers, cpu, w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        for c, _ in engine.chunk_layout(trials):
+            pid, reader = children[c % workers]
+            try:
+                ok, value = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker {pid} exited before sending chunk {c}") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _serve(task: Callable, trials: int, i: int, workers: int, cpu, fd: int) -> None:
+    """Child i's loop: compute its chunks in order and pickle each result into fd.
+
+    A task's exception is sent in place of its result and ends the loop.
+    """
+    if cpu is not None:
+        with contextlib.suppress(OSError):  # placement is only a speed hint
+            os.sched_setaffinity(0, {cpu})
+    with os.fdopen(fd, "wb") as out:
+        for c, rows in itertools.islice(engine.chunk_layout(trials), i, None, workers):
+            try:
+                frame = pickle.dumps((True, task(c, rows)))
+            except Exception as exc:
+                try:
+                    out.write(pickle.dumps((False, exc)))
+                except Exception:  # an exception that does not pickle
+                    out.write(pickle.dumps((False, RuntimeError(f"chunk {c}: {exc!r}"))))
+                return
+            out.write(frame)
+            out.flush()
 
 
 class _Samples:
@@ -277,7 +344,7 @@ def _run_checks(
 
 
 # -- reducers: one engine.Piece -> tally, reading its fields by name -----------
-# Module-level functions bound with partial, so they pickle for the pool.
+# Module-level functions, bound with partial.
 
 
 def _success_counts(is_maximal, taus, piece: engine.Piece) -> np.ndarray:

@@ -231,6 +231,27 @@ class TestVerify:
         _, out, _ = run("verify", "wedge", "--lemma", "5", *self.ARGS, "--format", "csv")
         assert out.splitlines()[0] == "statistic,observed,reference,p_value,passed,sample_size"
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="parallel chunks need os.fork")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_worker_count_never_changes_bytes_over_several_chunks(self, run, monkeypatch, fmt):
+        # two chunks, so --workers 2 forks two children even on a one-CPU host
+        argv = ("verify", "random:5:0.3:1", "--lemma", "all", "--trials", "40000",
+                "--format", fmt)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        code1, one, _ = run(*argv, "--workers", "1")
+        assert forks == []
+        code2, two, _ = run(*argv, "--workers", "2")
+        assert len(forks) == 2
+        assert code1 == code2 == 0 and one == two
+
     def test_lemma_2_tallies_tag_pairs_once_per_piece(self, run, monkeypatch):
         # the marginal and independence checks share one tally, so the pair
         # count runs once per piece of rows, not once per check

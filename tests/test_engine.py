@@ -119,10 +119,10 @@ def piece_rows(rows):
 
 class TestChunking:
     def test_layout_partitions_trials(self):
-        layout = chunk_layout(2 * CHUNK_TRIALS + 17)
+        layout = list(chunk_layout(2 * CHUNK_TRIALS + 17))
         assert layout == [(0, CHUNK_TRIALS), (1, CHUNK_TRIALS), (2, 17)]
-        assert chunk_layout(CHUNK_TRIALS) == [(0, CHUNK_TRIALS)]
-        assert chunk_layout(0) == []
+        assert list(chunk_layout(CHUNK_TRIALS)) == [(0, CHUNK_TRIALS)]
+        assert list(chunk_layout(0)) == []
 
     def test_partial_chunk_is_a_prefix(self):
         t_part, w_part = chunk_uniforms(5, 99, 3, 40)

@@ -6,11 +6,9 @@ the million-trial battery lives in the acceptance tests.
 
 import itertools
 import math
-import multiprocessing
 import os
 import pickle
 import tracemalloc
-from concurrent.futures import Future
 from fractions import Fraction
 from functools import partial
 
@@ -677,104 +675,127 @@ class TestDeterminismAcrossChunks:
         assert a == b
 
 
-class ReadOnce(Future):
-    """A finished future that leaves its pool's unread set when its result is read."""
+def _chunk_and_pid(c, rows):
+    return c, rows, os.getpid()
 
-    def __init__(self, unread, value):
-        super().__init__()
-        self.set_result(value)
-        self.unread = unread
-        unread.add(self)
 
-    def result(self, timeout=None):
-        self.unread.discard(self)
-        return super().result(timeout)
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_on(trials, workers):
+    """The chunk layout _run_chunks yields, and the pids of the processes that computed it."""
+    got = list(_run_chunks(_chunk_and_pid, trials, workers))
+    assert [(c, rows) for c, rows, _ in got] == list(engine.chunk_layout(trials))
+    assert_no_child_is_left()
+    return {pid for _, _, pid in got}
 
 
 class TestPoolSize:
-    @staticmethod
-    def inline_pool(sizes, windows=None, submitted=None):
-        windows = [] if windows is None else windows
-        submitted = [] if submitted is None else submitted
-
-        class InlinePool:
-            """Stands in for ProcessPoolExecutor: records its size, the most
-            futures it held submitted and unread, and every submitted chunk;
-            runs tasks in-process."""
-
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                sizes.append(max_workers)
-                windows.append(0)
-                self.unread = set()
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                submitted.append(args)
-                future = ReadOnce(self.unread, fn(*args))
-                windows[-1] = max(windows[-1], len(self.unread))
-                return future
-
-        return InlinePool
-
     def test_the_pool_has_no_more_workers_than_chunks(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self.inline_pool(sizes))
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         trials = 2 * CHUNK_TRIALS + 4464  # three chunks
-        got = list(_run_chunks(lambda c, rows: (c, rows), trials, workers=64))
-        assert got == engine.chunk_layout(trials)
-        assert list(_run_chunks(lambda c, rows: (c, rows), trials, workers=2)) == got
-        assert sizes == [3, 2]
-        assert multiprocessing.active_children() == []
+        for workers, children in [(64, 3), (2, 2)]:
+            pids = run_on(trials, workers)
+            assert len(pids) == children and os.getpid() not in pids
 
     @pytest.mark.parametrize("cpus,sizes", [({5, 7}, [2]), ({3}, [])])
     def test_the_pool_has_no_more_workers_than_usable_cpus(self, monkeypatch, cpus, sizes):
-        pools = []
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self.inline_pool(pools))
+        # pinning to a CPU this host lacks fails in the child, which runs on
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: cpus)
-        trials = 40 * CHUNK_TRIALS  # forty chunks: one CPU runs them in-process
-        got = list(_run_chunks(lambda c, rows: (c, rows), trials, workers=100_000))
-        assert got == engine.chunk_layout(trials)
-        assert pools == sizes
-        assert multiprocessing.active_children() == []
+        pids = run_on(40 * CHUNK_TRIALS, workers=100_000)  # one CPU runs them in-process
+        assert ([] if pids == {os.getpid()} else [len(pids)]) == sizes
 
     def test_without_an_affinity_set_the_cpu_count_caps_the_pool(self, monkeypatch):
-        pools = []
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self.inline_pool(pools))
         monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
-        for count, size in [(3, [3]), (None, [])]:  # an unknown count is one CPU
-            pools.clear()
-            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: count)
-            got = list(_run_chunks(lambda c, rows: c, 5 * CHUNK_TRIALS, workers=8))
-            assert got == [0, 1, 2, 3, 4]
-            assert pools == size
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        pids = run_on(5 * CHUNK_TRIALS, workers=8)
+        assert len(pids) == 3 and os.getpid() not in pids
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)  # one CPU
+        assert run_on(5 * CHUNK_TRIALS, workers=8) == {os.getpid()}
+
+    def test_without_fork_the_chunks_run_in_process(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(montecarlo.os, "fork")
+        assert run_on(3 * CHUNK_TRIALS, workers=2) == {os.getpid()}
+
+    @staticmethod
+    def logged(tmp_path):
+        """A task that marks each chunk it starts in tmp_path and returns a
+        result larger than a pipe's buffer, so a child's write waits for the reader."""
+
+        def task(c, rows):
+            (tmp_path / str(c)).touch()
+            return c, rows, bytes(1 << 20)
+
+        return task
+
+    @staticmethod
+    def started(tmp_path):
+        return sorted(int(f.name) for f in tmp_path.iterdir())
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_the_pool_keeps_at_most_twice_its_workers_unread(self, monkeypatch, workers):
-        sizes, windows = [], []
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self.inline_pool(sizes, windows))
+    def test_each_child_runs_at_most_one_chunk_ahead_of_the_reader(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # a child cannot start its next chunk before its last one is read, so
+        # once k results are read no chunk past k + workers - 1 has started
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        trials = 40 * CHUNK_TRIALS + 17
-        got = list(_run_chunks(lambda c, rows: (c, rows), trials, workers=workers))
-        assert got == engine.chunk_layout(trials)
-        assert sizes == [workers] and windows == [2 * workers]
+        trials = 12 * CHUNK_TRIALS + 17
+        chunks = _run_chunks(self.logged(tmp_path), trials, workers)
+        for k, chunk in enumerate(engine.chunk_layout(trials), start=1):
+            c, rows, _ = next(chunks)
+            assert (c, rows) == chunk
+            assert self.started(tmp_path)[-1] < k + workers
+        assert self.started(tmp_path) == list(range(13))
+        assert next(chunks, None) is None
+        assert_no_child_is_left()
 
-    def test_the_layout_is_walked_as_results_are_read(self, monkeypatch):
-        # 305,176 chunks: reading the first three submits less than a window
-        # more, since the pool hands out a result before it submits again
-        submitted = []
-        pool = self.inline_pool([], submitted=submitted)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool)
+    def test_the_layout_is_walked_as_results_are_read(self, tmp_path, monkeypatch):
+        # 305,176 chunks: reading the first three starts at most one more per child
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
-        chunks = _run_chunks(lambda c, rows: (c, rows), 10**10, workers=2)
-        assert list(itertools.islice(chunks, 3)) == [(c, CHUNK_TRIALS) for c in range(3)]
+        chunks = _run_chunks(self.logged(tmp_path), 10**10, workers=2)
+        got = [(c, rows) for c, rows, _ in itertools.islice(chunks, 3)]
+        assert got == [(c, CHUNK_TRIALS) for c in range(3)]
         chunks.close()
-        assert submitted == [(c, CHUNK_TRIALS) for c in range(3 + 2 * 2 - 1)]
+        assert_no_child_is_left()
+        assert self.started(tmp_path)[:3] == [0, 1, 2]
+        assert self.started(tmp_path)[-1] < 3 + 2
+
+    def test_closing_after_a_partial_read_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        chunks = _run_chunks(_chunk_and_pid, 10**10, workers=2)
+        assert [c for c, _, _ in itertools.islice(chunks, 5)] == [0, 1, 2, 3, 4]
+        chunks.close()
+        assert_no_child_is_left()
+
+    def test_a_task_error_in_a_child_is_raised_here(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def task(c, rows):
+            if c == 3:
+                raise ValueError(f"bad chunk {c} in {os.getpid()}")
+            return c
+
+        with pytest.raises(ValueError, match="bad chunk 3 in") as info:
+            list(_run_chunks(task, 6 * CHUNK_TRIALS, workers=2))
+        assert str(os.getpid()) not in str(info.value)
+        assert_no_child_is_left()
+
+    def test_a_child_that_dies_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def task(c, rows):
+            if c == 2:
+                os._exit(3)
+            return c
+
+        chunks = _run_chunks(task, 6 * CHUNK_TRIALS, workers=2)
+        assert list(itertools.islice(chunks, 2)) == [0, 1]
+        with pytest.raises(RuntimeError, match=r"worker \d+ exited before sending chunk 2"):
+            next(chunks)
+        assert_no_child_is_left()
 
 
 def _placement(chunk, rows):
