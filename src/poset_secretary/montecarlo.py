@@ -252,10 +252,7 @@ def _serve(task: Callable, trials: int, i: int, workers: int, cpu, fd: int) -> N
             try:
                 frame = pickle.dumps((True, task(c, rows)))
             except Exception as exc:
-                try:
-                    out.write(pickle.dumps((False, exc)))
-                except Exception:  # an exception that does not pickle
-                    out.write(pickle.dumps((False, RuntimeError(f"chunk {c}: {exc!r}"))))
+                out.write(pickle.dumps((False, exc)))
                 return
             out.write(frame)
             out.flush()

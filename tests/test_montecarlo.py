@@ -8,6 +8,7 @@ import itertools
 import math
 import os
 import pickle
+import signal
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -692,6 +693,21 @@ def run_on(trials, workers):
     return {pid for _, _, pid in got}
 
 
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test that waits on its children for 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("waited 60 s on a child")
+
+    saved = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, saved)
+
+
+@pytest.mark.usefixtures("deadline")
 class TestPoolSize:
     def test_the_pool_has_no_more_workers_than_chunks(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
