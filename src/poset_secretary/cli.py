@@ -83,7 +83,7 @@ def _load_poset(source: str) -> Poset:
 
 
 def _estimate_dict(est) -> dict:
-    d = dict(vars(est))
+    d = dict(vars(est), confidence=est.confidence)
     d["seed"] = d.pop("master_seed")
     return d
 

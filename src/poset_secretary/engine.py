@@ -53,7 +53,8 @@ lightest first, bottom to top, then the posts lightest first.  Equal ranks
 leave every key order unchanged, so a poset of one series part needs no
 case of its own.  batch_tag_matrix takes any floats: it uses the stable
 argsort for the arrival order and one stable lexsort by (rank, weight) for
-the series order.
+the series order, both uint8 as a Piece's are, so the kernel sees one set
+of input dtypes.
 
 Post rule: on a poset with no block, every series part is a post, so the
 poset is a chain e_0 < e_1 < ... < e_{n-1} (in any labelling), and its tags
@@ -297,7 +298,8 @@ def batch_tag_matrix(
     tagged = np.empty(times.shape, dtype=bool)
     for lo in range(0, times.shape[0], _SUB_BATCH):
         rows = slice(lo, lo + _SUB_BATCH)
-        tagged[rows] = _tag_sub_batch(*tables, _stable_argsort(times[rows]), worder[rows])
+        aorder = _stable_argsort(times[rows]).astype(np.uint8)
+        tagged[rows] = _tag_sub_batch(*tables, aorder, worder[rows])
     return worder, tagged
 
 

@@ -25,7 +25,8 @@ every other arrival is tagged iff it is the greedy maximum.  Every scan
 lives in engine, and this module calls only its public names.  Every
 estimate and check is a (reducer, report) pair run by _run_checks:
 verify_lemmas runs all requested checks over one pass, and each per-lemma
-function and threshold_sweep run the same code path with their own.
+function (bar verify_tag_joint, below) and threshold_sweep run the same
+code path with their own.
 
 With workers > 1 the chunks run on forked children, one pipe each
 (_run_chunks): child i computes chunks i, i + workers, ..., pickles each
@@ -35,9 +36,11 @@ chunks back in chunk order.  Where os.fork does not exist they run
 in-process.  Either way the bytes out are the same.
 
 P-values come from pvalues: the exact two-sided binomial test for each tag
-marginal, Pearson's chi-square for pairwise independence and the joint
-pattern law, and the exact one-sample KS test for last-tag uniformity, each
-bit-identical to SciPy's own tests but computed from scipy.special alone.
+marginal, Pearson's chi-square for pairwise independence, and the exact
+one-sample KS test for last-tag uniformity, each bit-identical to SciPy's
+own tests but computed from scipy.special alone.  The joint pattern law
+needs none: verify_tag_joint counts it exactly over all n! arrival orders
+of one weight row, for n <= JOINT_CHECK_CAP, and draws no chunk.
 
 Verified laws, all at desk scale:
   * the k-th arrival is tagged with probability exactly 1/k, independently
@@ -63,7 +66,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, ClassVar, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -99,7 +102,7 @@ CONFIDENCE_DEFAULT = 0.99
 _Z = 2.5758293035489004  # the standard normal quantile at (1 + CONFIDENCE_DEFAULT) / 2
 ALPHA_DEFAULT = 0.001
 TRIALS_DEFAULT = 10**6
-JOINT_CHECK_CAP = 12  # 2^n cells; beyond this the deep check is pointless
+JOINT_CHECK_CAP = 9  # verify_tag_joint tags one row per arrival order: n! rows
 MIN_PER_POSITION = 1000  # trials per arrival position the marginal check asks for
 
 # what verify_lemmas checks: the lemma names and their per-check defaults
@@ -120,7 +123,7 @@ class Estimate:
     ci_high: float
     master_seed: int
     tau: float
-    confidence: float = CONFIDENCE_DEFAULT
+    confidence: ClassVar[float] = CONFIDENCE_DEFAULT  # wilson_interval's level, not a knob
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0:
@@ -358,12 +361,6 @@ def _tag_pair_counts(piece: engine.Piece) -> np.ndarray:
     return (flags @ flags.T).astype(np.int64)
 
 
-def _tag_pattern_counts(piece: engine.Piece) -> np.ndarray:
-    flags = piece.arrival_tags
-    codes = (1 << np.arange(len(flags), dtype=np.int64)) @ flags
-    return np.bincount(codes, minlength=1 << len(flags))
-
-
 def _last_tag_values(t, piece: engine.Piece) -> _Samples:
     vals = engine.batch_last_tag_time(piece.tag_keys, t)
     vals = vals[~np.isnan(vals)]
@@ -529,39 +526,31 @@ def verify_tag_independence(
     return _run_checks(p, [check], trials, master_seed, workers)
 
 
-def verify_tag_joint(
-    p: Poset,
-    trials: int = TRIALS_DEFAULT,
-    master_seed: int = 0,
-    alpha: float = ALPHA_DEFAULT,
-    workers: int = 1,
-) -> LemmaReport:
-    """Deep check: all 2^n tag patterns against the exact joint product law.
+def verify_tag_joint(p: Poset, master_seed: int = 0) -> LemmaReport:
+    """Lemma 2 exactly: every tag pattern over all n! arrival orders.
 
-    Patterns missing the always-tagged first position have expectation zero
-    and must not occur; the chi-square runs over the remaining 2^(n-1) cells.
+    Given the set of its first k arrivals, the k-th arrival is tagged in 1
+    of the k equally likely orders of that set, whatever the weights.  So
+    with one weight row, trial 0 of master_seed's stream, and each arrival
+    order once, the pattern of tags by arrival position (bit k-1 for the
+    k-th arrival) occurs exactly n! * prod_k (1/k or 1 - 1/k) times.
+    observed counts the patterns that miss that count.
     """
     if p.n > JOINT_CHECK_CAP:
-        raise TooLargeError(f"joint check tabulates 2^n patterns; n={p.n} exceeds {JOINT_CHECK_CAP}")
-
-    def report(pattern):
-        codes = np.arange(1 << p.n)
-        prob = np.ones(1 << p.n, dtype=float)
-        for k in range(1, p.n + 1):
-            bit = (codes >> (k - 1)) & 1
-            prob *= np.where(bit == 1, 1.0 / k, 1.0 - 1.0 / k)
-        possible = prob > 0.0
-        impossible_hits = int(pattern[~possible].sum())
-        if p.n == 1:
-            # single cell, nothing to test: the pattern must be all-ones
-            passed = impossible_hits == 0
-            return [LemmaReport("tag_joint", 0.0, "exact product law", None, passed, trials)]
-        chi2, pval = pvalues.chi2_gof(pattern[possible], prob[possible] * trials)
-        ref = f"chi2(df={int(possible.sum()) - 1}) under the product law"
-        passed = impossible_hits == 0 and pval >= alpha
-        return [LemmaReport("tag_joint", chi2, ref, pval, passed, trials)]
-
-    return _run_checks(p, [(_tag_pattern_counts, report)], trials, master_seed, workers)[0]
+        raise TooLargeError(f"joint check enumerates n! arrival orders; n={p.n} exceeds {JOINT_CHECK_CAP}")
+    rows = math.factorial(p.n)
+    perms = itertools.chain.from_iterable(itertools.permutations(range(p.n)))
+    orders = np.fromiter(perms, dtype=np.uint8, count=rows * p.n).reshape(rows, p.n)
+    times = np.empty(orders.shape)
+    np.put_along_axis(times, orders, np.arange(p.n) / p.n, axis=1)  # arrival rank r at r/n
+    _, weights = engine.chunk_uniforms(p.n, master_seed, 0, 1)
+    _, tagged = engine.batch_tag_matrix(p, times, np.broadcast_to(weights, times.shape))
+    codes = np.take_along_axis(tagged, orders, axis=1) @ (1 << np.arange(p.n))
+    bits = (np.arange(1 << p.n)[:, None] >> np.arange(p.n)) & 1
+    want = np.where(bits, 1, np.arange(p.n)).prod(axis=1)  # prod_k (1 or k - 1)
+    misses = int(np.count_nonzero(np.bincount(codes, minlength=1 << p.n) != want))
+    ref = "n! * prod_k (1/k or 1 - 1/k) per pattern"
+    return LemmaReport("tag_joint", float(misses), ref, None, misses == 0, rows)
 
 
 def _last_tag_check(p: Poset, t: float, alpha: float) -> tuple:

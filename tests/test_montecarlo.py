@@ -47,6 +47,7 @@ from poset_secretary.montecarlo import (
 )
 from poset_secretary.posets import Poset
 from poset_secretary.simulate import Trial, tag_sequence
+from test_cli import _a_ignores_arrival, _b_only
 from test_engine import tag_keys_of, time_keys_of
 
 TRIALS = 40_000
@@ -155,6 +156,13 @@ class TestEstimate:
                 successes=10, trials=100, p_hat=0.5, ci_low=0.0, ci_high=1.0,
                 master_seed=0, tau=0.3,
             )
+
+    def test_confidence_is_the_level_of_the_interval_not_a_field(self):
+        # wilson_interval has one level, so an Estimate cannot claim another
+        est = estimate_success(wedge(), 0.4, 1000, master_seed=3)
+        assert est.confidence == montecarlo.CONFIDENCE_DEFAULT
+        with pytest.raises(TypeError):
+            Estimate(est.successes, est.trials, est.p_hat, est.ci_low, est.ci_high, 3, 0.4, 0.5)
 
 
 class TestSweep:
@@ -277,29 +285,45 @@ class TestIndependence:
 
     @pytest.mark.parametrize("p", [random_poset(8, 0.3, seed=42), random_poset(12, 0.3, seed=4)])
     def test_tallies_equal_the_counts_built_per_trial(self, p):
-        # the pair and pattern tallies read the flags in the kernel's arrival
-        # order and add over the chunk's two pieces; the reference rebuilds
-        # every row's flags from tag_sequence
+        # the pair tally reads the flags in the kernel's arrival order and
+        # adds over the chunk's two pieces; the reference rebuilds every
+        # row's flags from tag_sequence
         seed, chunk, rows = 5, 2, engine._SUB_BATCH + 5
-        reducers = (montecarlo._tag_pair_counts, montecarlo._tag_pattern_counts)
-        pairs, pattern = montecarlo._tag_chunk(p, reducers, seed, chunk, rows)
+        [pairs] = montecarlo._tag_chunk(p, (montecarlo._tag_pair_counts,), seed, chunk, rows)
         times, weights = engine.chunk_uniforms(p.n, seed, chunk, rows)
         flags = np.array(
             [[e.tagged for e in tag_sequence(p, Trial(t, w))] for t, w in zip(times, weights)],
             dtype=np.int64,
         )
         assert np.array_equal(pairs, flags.T @ flags)
-        patterns = np.bincount(flags @ (1 << np.arange(p.n)), minlength=1 << p.n)
-        assert np.array_equal(pattern, patterns)
 
     def test_joint_pattern_law(self):
         for p in (chain(1), antichain(4), random_poset(5, 0.5, seed=7)):
-            rep = verify_tag_joint(p, TRIALS, master_seed=6)
-            assert rep.passed, rep
+            rep = verify_tag_joint(p, master_seed=6)
+            assert rep.passed and rep.observed == 0 and rep.p_value is None, rep
+            assert rep.sample_size == math.factorial(p.n)
+
+    @pytest.mark.parametrize(
+        "mutant,specs",
+        [
+            (None, ["chain:7", "antichain:7", "wedge", "boolean:3", "random:8:0.3:42"]),
+            # on a chain (b) alone is the true kernel, so a chain cannot fail it
+            (_b_only, ["antichain:7", "wedge", "boolean:3", "random:8:0.3:42"]),
+            (_a_ignores_arrival, ["antichain:7", "wedge", "boolean:3", "random:8:0.3:42"]),
+        ],
+        ids=["kernel", "b_only", "a_ignores_arrival"],
+    )
+    def test_the_exact_joint_law_fails_a_wrong_tag_kernel(self, monkeypatch, mutant, specs):
+        if mutant is not None:
+            monkeypatch.setattr(engine, "_tag_sub_batch", mutant)
+        for spec in specs:
+            rep = verify_tag_joint(parse_generator_spec(spec).build())
+            assert rep.passed == (mutant is None) and (rep.observed > 0) == (mutant is not None), spec
 
     def test_joint_capped(self):
+        verify_tag_joint(chain(montecarlo.JOINT_CHECK_CAP))
         with pytest.raises(TooLargeError):
-            verify_tag_joint(chain(13), 13_000, master_seed=0)
+            verify_tag_joint(chain(10), master_seed=0)
 
 
 class TestLastTagUniform:

@@ -74,22 +74,6 @@ def test_chi2_2x2_rejects_a_zero_margin():
         pvalues.chi2_2x2(np.array([[0, 0], [3, 4]]))
 
 
-def test_chi2_gof():
-    rng = np.random.default_rng(12)
-    for cells in (2, 3, 64, 2048):
-        for trials in (1000, 10**6):
-            prob = rng.dirichlet(np.ones(cells))
-            obs = rng.multinomial(trials, prob)
-            stat, pval = stats.chisquare(obs, prob * trials)
-            got = pvalues.chi2_gof(obs, prob * trials)
-            assert same_bits(got[0], stat) and same_bits(got[1], pval), (cells, trials)
-
-
-def test_chi2_gof_rejects_mismatched_totals():
-    with pytest.raises(ValueError):
-        pvalues.chi2_gof([10, 10], [5.0, 5.0])
-
-
 def assert_ks_matches(values):
     ks, pval = stats.kstest(values, "uniform")
     got = pvalues.ks_uniform(values)
