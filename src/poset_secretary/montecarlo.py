@@ -23,10 +23,8 @@ the piece's series order per pinned time, shared by every maximal element.
 empirical_greedy_max is that check at t = 1: a maximal element pinned after
 every other arrival is tagged iff it is the greedy maximum.  Every scan
 lives in engine, and this module calls only its public names.  Every
-estimate and check is a (reducer, report) pair run by _run_checks:
-verify_lemmas runs all requested checks over one pass, and each per-lemma
-function (bar verify_tag_joint, below) and threshold_sweep run the same
-code path with their own.
+estimate and check is an entry in the one list _run_checks runs: sampled,
+a (reducer, report) pair over one pass, or exact, with reducer None.
 
 With workers > 1 the chunks run on forked children, one pipe each
 (_run_chunks): child i computes chunks i, i + workers, ..., pickles each
@@ -40,7 +38,7 @@ marginal, Pearson's chi-square for pairwise independence, and the exact
 one-sample KS test for last-tag uniformity, each bit-identical to SciPy's
 own tests but computed from scipy.special alone.  The joint pattern law
 needs none: verify_tag_joint counts it exactly over all n! arrival orders
-of one weight row, for n <= JOINT_CHECK_CAP, and draws no chunk.
+of one weight row, for n <= JOINT_CHECK_CAP, as an exact check.
 
 Verified laws, all at desk scale:
   * the k-th arrival is tagged with probability exactly 1/k, independently
@@ -48,7 +46,8 @@ Verified laws, all at desk scale:
   * the last tag before time t lands uniformly on [0, t];
   * pinning a maximal element's arrival at t makes its tag probability equal
     the exact value mu_t(x);
-  * the threshold rule accepts a maximal element with probability >= 1/e.
+  * the threshold rule accepts a maximal element with probability >= 1/e
+    (test_criterion_01_success_floor_across_suite; not a verify check yet).
 """
 
 from __future__ import annotations
@@ -134,7 +133,10 @@ class Estimate:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """One verification check: what was measured, against what, and verdict."""
+    """One verification check: what was measured, against what, and verdict.
+
+    A p_value of None marks an exact verdict (mu_monotonicity, tag_joint),
+    lemma 4's four-standard-error rule, or a degenerate pair."""
 
     statistic: str
     observed: float
@@ -318,25 +320,26 @@ def _tag_chunk(
 def _run_checks(
     p: Poset, checks: Sequence[tuple], trials: int, master_seed: int, workers: int
 ) -> list:
-    """Every check over one pass of the canonical chunks; reports in check order.
+    """Every check over at most one pass of the canonical chunks; reports in check order.
 
     A check is a (reducer, report) pair, built only after its parameters are
-    validated: the reducer runs on every piece, each chunk's tallies add
-    into running totals as they arrive, and report turns its reducer's
-    total into a list of results.  Checks that share a reducer share its
-    total, so it runs once per piece; a report may change its total in
-    place only when no other check shares that reducer.
+    validated.  Sampled: the reducer runs on every piece, its chunk tallies
+    add into a running total, and report turns that total into a list of
+    results; checks sharing a reducer share its one total, which a report
+    may change in place only if no other check shares it.  Exact: reducer
+    None, report called with None.  The pass is drawn only for a sampled
+    check; seed, workers and trials are validated either way.
     """
     engine.check_seed(master_seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if not checks:
-        return []
-    reducers = tuple(dict.fromkeys(reduce for reduce, _ in checks))
-    chunks = _run_chunks(partial(_tag_chunk, p, reducers, master_seed), trials, workers)
-    totals = dict(zip(reducers, _fold(chunks, trials)))
+    reducers = tuple(dict.fromkeys(reduce for reduce, _ in checks if reduce is not None))
+    totals = {None: None}
+    if reducers:
+        chunks = _run_chunks(partial(_tag_chunk, p, reducers, master_seed), trials, workers)
+        totals.update(zip(reducers, _fold(chunks, trials)))
     reports = []
     for reduce, report in checks:
         reports += report(totals[reduce])
@@ -526,18 +529,7 @@ def verify_tag_independence(
     return _run_checks(p, [check], trials, master_seed, workers)
 
 
-def verify_tag_joint(p: Poset, master_seed: int = 0) -> LemmaReport:
-    """Lemma 2 exactly: every tag pattern over all n! arrival orders.
-
-    Given the set of its first k arrivals, the k-th arrival is tagged in 1
-    of the k equally likely orders of that set, whatever the weights.  So
-    with one weight row, trial 0 of master_seed's stream, and each arrival
-    order once, the pattern of tags by arrival position (bit k-1 for the
-    k-th arrival) occurs exactly n! * prod_k (1/k or 1 - 1/k) times.
-    observed counts the patterns that miss that count.
-    """
-    if p.n > JOINT_CHECK_CAP:
-        raise TooLargeError(f"joint check enumerates n! arrival orders; n={p.n} exceeds {JOINT_CHECK_CAP}")
+def _joint_report(p: Poset, master_seed: int, _) -> list[LemmaReport]:
     rows = math.factorial(p.n)
     perms = itertools.chain.from_iterable(itertools.permutations(range(p.n)))
     orders = np.fromiter(perms, dtype=np.uint8, count=rows * p.n).reshape(rows, p.n)
@@ -550,7 +542,22 @@ def verify_tag_joint(p: Poset, master_seed: int = 0) -> LemmaReport:
     want = np.where(bits, 1, np.arange(p.n)).prod(axis=1)  # prod_k (1 or k - 1)
     misses = int(np.count_nonzero(np.bincount(codes, minlength=1 << p.n) != want))
     ref = "n! * prod_k (1/k or 1 - 1/k) per pattern"
-    return LemmaReport("tag_joint", float(misses), ref, None, misses == 0, rows)
+    return [LemmaReport("tag_joint", float(misses), ref, None, misses == 0, rows)]
+
+
+def verify_tag_joint(p: Poset, master_seed: int = 0) -> LemmaReport:
+    """Lemma 2 exactly: every tag pattern over all n! arrival orders.
+
+    Given the set of its first k arrivals, the k-th arrival is tagged in 1
+    of the k equally likely orders of that set, whatever the weights.  So
+    with one weight row, trial 0 of master_seed's stream, and each arrival
+    order once, the pattern of tags by arrival position (bit k-1 for the
+    k-th arrival) occurs exactly n! * prod_k (1/k or 1 - 1/k) times.
+    observed counts the patterns that miss that count.
+    """
+    if p.n > JOINT_CHECK_CAP:
+        raise TooLargeError(f"joint check enumerates n! arrival orders; n={p.n} exceeds {JOINT_CHECK_CAP}")
+    return _run_checks(p, [(None, partial(_joint_report, p, master_seed))], 0, master_seed, 1)[0]
 
 
 def _last_tag_check(p: Poset, t: float, alpha: float) -> tuple:
@@ -637,6 +644,12 @@ def verify_tagged_given_arrival(
     return _run_checks(p, [check], trials, master_seed, workers)[0]
 
 
+def _monotonicity_report(table: MuTable, _) -> list[LemmaReport]:
+    mono = check_mu_monotonicity(table, MONOTONICITY_GRID)
+    ref = "mu_t(x) >= mu(x) at every grid point"
+    return [LemmaReport("mu_monotonicity", float(len(mono.violations)), ref, None, mono.ok, mono.checks)]
+
+
 def verify_lemmas(
     p: Poset,
     lemmas: Collection[str],
@@ -650,9 +663,9 @@ def verify_lemmas(
     "2": tag marginals and pairwise independence; "3": last-tag uniformity
     at LAST_TAG_TIMES; "4": pinned-arrival tag frequency against the exact
     mu_t, for every maximal element at PINNED_TIMES; "5": the exact
-    mu_t >= mu sweep over MONOTONICITY_GRID.  Every check is validated
-    before any chunk is drawn, in that order, and reports come in it.
-    Lemmas 4 and 5 read one exact table.
+    mu_t >= mu sweep over MONOTONICITY_GRID, an exact check.  Every check
+    is validated before any chunk is drawn, in that order, and reports come
+    in it.  Lemma 4's reports and lemma 5's sweep read one exact table.
     """
     unknown = set(lemmas) - set(LEMMAS)
     if unknown:
@@ -667,10 +680,6 @@ def verify_lemmas(
     if "4" in lemmas:
         pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]
         checks.append(_pinned_check(p, pins, trials, table))
-    reports = _run_checks(p, checks, trials, master_seed, workers)
     if "5" in lemmas:
-        mono = check_mu_monotonicity(table, MONOTONICITY_GRID)
-        ref = "mu_t(x) >= mu(x) at every grid point"
-        violations = float(len(mono.violations))
-        reports.append(LemmaReport("mu_monotonicity", violations, ref, None, mono.ok, mono.checks))
-    return reports
+        checks.append((None, partial(_monotonicity_report, table)))
+    return _run_checks(p, checks, trials, master_seed, workers)

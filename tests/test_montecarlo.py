@@ -8,7 +8,6 @@ import itertools
 import math
 import os
 import pickle
-import signal
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -325,6 +324,14 @@ class TestIndependence:
         with pytest.raises(TooLargeError):
             verify_tag_joint(chain(10), master_seed=0)
 
+    def test_a_bad_seed_is_refused_before_any_arrival_order_is_built(self, monkeypatch):
+        def no_orders(*args):
+            raise AssertionError("built arrival orders before checking the seed")
+
+        monkeypatch.setattr(montecarlo.itertools, "permutations", no_orders)
+        with pytest.raises(ValueError, match="master seed"):
+            verify_tag_joint(chain(montecarlo.JOINT_CHECK_CAP), master_seed=1 << 64)
+
 
 class TestLastTagUniform:
     @pytest.mark.parametrize("t", LAST_TAG_TIMES)
@@ -574,6 +581,54 @@ class TestVerifyLemmas:
             verify_lemmas(wedge(), ["2", "6"], trials=6_000)
 
 
+def _exact(name):
+    """An exact check whose one report is its name."""
+
+    def report(total):
+        assert total is None
+        return [name]
+
+    return None, report
+
+
+class TestCheckList:
+    """_run_checks runs exact and sampled checks from one list."""
+
+    def test_mixed_checks_report_in_declared_order_over_one_pass(self, monkeypatch):
+        p, trials, seed = wedge(), CHUNK_TRIALS + 1, 3  # two chunks
+        success = (partial(montecarlo._success_counts, p.is_maximal, (0.3679,)),
+                   lambda total: [("success", total.tolist())])
+        pins = (partial(montecarlo._pinned_hits, p, [(x, 1.0) for x in sorted(p.maximal)]),
+                lambda total: [("pins", total.tolist())])
+        want = [montecarlo._run_checks(p, [check], trials, seed, 1)[0] for check in (success, pins)]
+        tagged = []
+
+        def counted(p, master_seed, chunk, rows, _fn=engine.chunk_tags):
+            tagged.append(chunk)
+            return _fn(p, master_seed, chunk, rows)
+
+        monkeypatch.setattr(engine, "chunk_tags", counted)
+        checks = [_exact("first"), success, _exact("between"), pins, _exact("last")]
+        got = montecarlo._run_checks(p, checks, trials, seed, 1)
+        assert got == ["first", want[0], "between", want[1], "last"]
+        assert tagged == [0, 1]
+
+    def test_an_exact_only_list_draws_nothing_but_validates_its_arguments(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a chunk for an exact-only list")
+
+        monkeypatch.setattr(engine, "_philox", no_draws)
+        checks = [_exact("a"), _exact("b")]
+        assert montecarlo._run_checks(wedge(), checks, 0, 0, 1) == ["a", "b"]
+        for trials, seed, workers, match in [
+            (0, 1 << 64, 1, "master seed"),
+            (0, 0, 0, "workers"),
+            (-1, 0, 1, "trials"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                montecarlo._run_checks(wedge(), checks, trials, seed, workers)
+
+
 class TestWorkSkipped:
     """A pass builds only the piece fields its reducers read."""
 
@@ -717,21 +772,6 @@ def run_on(trials, workers):
     return {pid for _, _, pid in got}
 
 
-@pytest.fixture
-def deadline():
-    """Fail, rather than hang, a test that waits on its children for 60 s."""
-
-    def expire(signum, frame):
-        raise TimeoutError("waited 60 s on a child")
-
-    saved = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, saved)
-
-
-@pytest.mark.usefixtures("deadline")
 class TestPoolSize:
     def test_the_pool_has_no_more_workers_than_chunks(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
