@@ -120,6 +120,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 from functools import cache, cached_property
 from typing import Iterator, Sequence
 
@@ -171,8 +172,11 @@ _NO_TAG = np.uint64(np.iinfo(np.uint64).max)
 
 
 def check_seed(master_seed: int) -> None:
-    """Raise ValueError unless master_seed fits the Philox key's 64-bit word."""
-    if not 0 <= master_seed < 1 << 64:
+    """Raise ValueError unless master_seed fits the Philox key's 64-bit word.
+
+    operator.index raises TypeError on a float, which the key would truncate.
+    """
+    if not 0 <= operator.index(master_seed) < 1 << 64:
         raise ValueError(f"master seed must fit in 64 bits, got {master_seed}")
 
 

@@ -36,9 +36,10 @@ in-process.  Either way the bytes out are the same.
 P-values come from pvalues: the exact two-sided binomial test for each tag
 marginal, Pearson's chi-square for pairwise independence, and the exact
 one-sample KS test for last-tag uniformity, each bit-identical to SciPy's
-own tests but computed from scipy.special alone.  The joint pattern law
-needs none: verify_tag_joint counts it exactly over all n! arrival orders
-of one weight row, for n <= JOINT_CHECK_CAP, as an exact check.
+own tests but computed from scipy.special alone.  Lemma 3 refuses a KS
+sample of fewer than pvalues.KS_MIN_SIZE (141) values.  The joint pattern
+law needs none: verify_tag_joint counts it exactly over all n! arrival
+orders of one weight row, for n <= JOINT_CHECK_CAP, as an exact check.
 
 Verified laws, all at desk scale:
   * the k-th arrival is tagged with probability exactly 1/k, independently
@@ -445,6 +446,11 @@ def empirical_greedy_max(
 # -- verification -------------------------------------------------------------
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def _tested(
     statistic: str, observed: float, reference, pval: float, alpha: float, size: int
 ) -> LemmaReport:
@@ -454,6 +460,7 @@ def _tested(
 
 def _marginal_check(p: Poset, trials: int, alpha: float) -> tuple:
     engine.check_sim_cap(p.n)
+    _check_alpha(alpha)
     if trials < p.n * MIN_PER_POSITION:
         raise ValueError(
             f"need trials >= {p.n * MIN_PER_POSITION} for {p.n} positions "
@@ -491,6 +498,7 @@ def verify_tag_marginals(
 
 def _independence_check(p: Poset, trials: int, alpha: float) -> tuple:
     engine.check_sim_cap(p.n)
+    _check_alpha(alpha)
 
     def report(joint):
         marg = np.diagonal(joint)
@@ -564,16 +572,18 @@ def _last_tag_check(p: Poset, t: float, alpha: float) -> tuple:
     engine.check_sim_cap(p.n)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
+    _check_alpha(alpha)
 
     def report(samples):
         # each check binds its own reducer, so this buffer is the report's own
         values = samples.values
-        if values.size == 0:
-            raise ValueError("no trial had an arrival before t; increase trials")
+        size = int(values.size)
+        if size < pvalues.KS_MIN_SIZE:
+            raise ValueError(f"{size} trials had an arrival before t={t!r}; the KS test "
+                             f"needs {pvalues.KS_MIN_SIZE}: increase trials")
         values /= t
         values.sort()
         ks, pval = pvalues.ks_uniform_sorted(values)
-        size = int(values.size)
         return [_tested(f"last_tag_uniform[t={t!r}]", ks, "uniform[0,1]", pval, alpha, size)]
 
     return partial(_last_tag_values, t), report
@@ -590,7 +600,8 @@ def verify_last_tag_uniform(
     """KS test: the last tag before time t, rescaled by 1/t, is Uniform[0,1].
 
     Conditioning is on at least one arrival before t (the first arrival is
-    always tagged, so the statistic then exists).
+    always tagged, so the statistic then exists).  Raises ValueError, after
+    the pass, when fewer than pvalues.KS_MIN_SIZE trials have one.
     """
     check = _last_tag_check(p, t, alpha)
     return _run_checks(p, [check], trials, master_seed, workers)[0]
@@ -652,7 +663,7 @@ def _monotonicity_report(table: MuTable, _) -> list[LemmaReport]:
 
 def verify_lemmas(
     p: Poset,
-    lemmas: Collection[str],
+    lemmas: str | Collection[str],
     trials: int = TRIALS_DEFAULT,
     master_seed: int = 0,
     alpha: float = ALPHA_DEFAULT,
@@ -663,13 +674,18 @@ def verify_lemmas(
     "2": tag marginals and pairwise independence; "3": last-tag uniformity
     at LAST_TAG_TIMES; "4": pinned-arrival tag frequency against the exact
     mu_t, for every maximal element at PINNED_TIMES; "5": the exact
-    mu_t >= mu sweep over MONOTONICITY_GRID, an exact check.  Every check
-    is validated before any chunk is drawn, in that order, and reports come
-    in it.  Lemma 4's reports and lemma 5's sweep read one exact table.
+    mu_t >= mu sweep over MONOTONICITY_GRID, an exact check.  A bare string
+    names one lemma, "all" every one.  Alpha and every check are validated
+    before any chunk is drawn, and reports come in check order; lemma 3
+    refuses, after the pass, fewer than pvalues.KS_MIN_SIZE samples at a t.
+    Lemma 4's reports and lemma 5's sweep read one exact table.
     """
+    if isinstance(lemmas, str):
+        lemmas = LEMMAS if lemmas == "all" else (lemmas,)
     unknown = set(lemmas) - set(LEMMAS)
     if unknown:
         raise ValueError(f"unknown lemmas {sorted(unknown)}; choose from {LEMMAS}")
+    _check_alpha(alpha)
     checks = []
     if "2" in lemmas:
         checks.append(_marginal_check(p, trials, alpha))

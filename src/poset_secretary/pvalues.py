@@ -16,8 +16,9 @@ The binomial test reads the private scipy.special._ufuncs._binom_* kernels
 that SciPy's binom distribution calls; the public bdtr family differs in the
 last bits.  The KS p-value is the exact kstwo.sf of Simard & L'Ecuyer
 (2011), which kstest always uses since SciPy 1.17; its module, _ksstats,
-cannot be imported without the whole stats subpackage, so only its
-survival-function path is carried over here.
+cannot be imported without the whole stats subpackage, so its
+survival-function path for n > 140 is carried over here, and both KS
+functions refuse fewer than KS_MIN_SIZE values.
 
 The binomial search and the Kolmogorov-Smirnov code are adapted from SciPy
 (_binomtest.py and _ksstats.py in its stats subpackage), Copyright (c)
@@ -31,7 +32,7 @@ import numpy as np
 from scipy import special
 from scipy.special import _ufuncs as _scu
 
-__all__ = ["binom_two_sided", "chi2_2x2", "ks_uniform", "ks_uniform_sorted"]
+__all__ = ["KS_MIN_SIZE", "binom_two_sided", "chi2_2x2", "ks_uniform", "ks_uniform_sorted"]
 
 
 # -- exact binomial test ------------------------------------------------------
@@ -119,6 +120,7 @@ def chi2_2x2(table) -> tuple[float, float]:
 
 # -- one-sample Kolmogorov-Smirnov ---------------------------------------------
 
+KS_MIN_SIZE = 141  # the smallest sample ks_uniform tests: SciPy's exact small-n paths end at 140
 _KS_BLOCK = 1 << 15  # values per step of ks_uniform_sorted's D
 
 _E128 = 128
@@ -193,87 +195,6 @@ def _kolmogn_dmtw(n, d):
     return _clip_prob(p)
 
 
-def _pomeranz_j1j2(i, n, ll, ceilf, roundf):
-    """Endpoints of the nonzero interval of row i."""
-    if i == 0:
-        j1, j2 = -ll - ceilf - 1, ll + ceilf - 1
-    else:
-        ip1div2, ip1mod2 = divmod(i + 1, 2)
-        if ip1mod2 == 0:  # i is odd
-            if ip1div2 == n + 1:
-                j1, j2 = n - ll - ceilf - 1, n + ll + ceilf - 1
-            else:
-                j1, j2 = ip1div2 - 1 - ll - roundf - 1, ip1div2 + ll - 1 + ceilf - 1
-        else:
-            j1, j2 = ip1div2 - 1 - ll - 1, ip1div2 + ll + roundf - 1
-    return max(j1 + 2, 0), min(j2, n)
-
-
-def _kolmogn_pomeranz(n, x):
-    """Pr(D_n <= x) by the Pomeranz (1974) recursion.
-
-    Each row is the previous one convolved with (almost) Poisson weights;
-    two rows are kept, each with its start index, and rescaled against
-    underflow.  The answer is n! times the last entry of the last row.
-    """
-    t = n * x
-    ll = int(np.floor(t))
-    f = 1.0 * (t - ll)
-    g = min(f, 1.0 - f)
-    ceilf = 1 if f > 0 else 0
-    roundf = 1 if f > 0.5 else 0
-    npwrs = 2 * (ll + 1)
-    gpower = np.empty(npwrs)  # (g/n)^m/m!
-    twogpower = np.empty(npwrs)  # (2g/n)^m/m!
-    onem2gpower = np.empty(npwrs)  # ((1-2g)/n)^m/m!
-    gpower[0] = 1.0
-    twogpower[0] = 1.0
-    onem2gpower[0] = 1.0
-    expnt = 0
-    g_over_n, two_g_over_n, one_minus_two_g_over_n = g / n, 2 * g / n, (1 - 2 * g) / n
-    for m in range(1, npwrs):
-        gpower[m] = gpower[m - 1] * g_over_n / m
-        twogpower[m] = twogpower[m - 1] * two_g_over_n / m
-        onem2gpower[m] = onem2gpower[m - 1] * one_minus_two_g_over_n / m
-
-    V0 = np.zeros([npwrs])
-    V1 = np.zeros([npwrs])
-    V1[0] = 1
-    V0s, V1s = 0, 0
-
-    j1, j2 = _pomeranz_j1j2(0, n, ll, ceilf, roundf)
-    for i in range(1, 2 * n + 2):
-        k1 = j1
-        V0, V1 = V1, V0
-        V0s, V1s = V1s, V0s
-        V1.fill(0.0)
-        j1, j2 = _pomeranz_j1j2(i, n, ll, ceilf, roundf)
-        if i == 1 or i == 2 * n + 1:
-            pwrs = gpower
-        else:
-            pwrs = twogpower if i % 2 else onem2gpower
-        ln2 = j2 - k1 + 1
-        if ln2 > 0:
-            conv = np.convolve(V0[k1 - V0s:k1 - V0s + ln2], pwrs[:ln2])
-            conv_start = j1 - k1
-            conv_len = j2 - j1 + 1
-            V1[:conv_len] = conv[conv_start:conv_start + conv_len]
-            if 0 < np.max(V1) < _EM128:
-                V1 *= _EP128
-                expnt -= _E128
-            V1s = V0s + j1 - k1
-
-    ans = V1[n - V1s]
-    for m in range(1, n + 1):
-        if np.abs(ans) > _EP128:
-            ans *= _EM128
-            expnt += _E128
-        ans *= m
-    if expnt != 0:
-        ans = np.ldexp(ans, expnt)
-    return _clip_prob(ans)
-
-
 def _kolmogn_pelz_good(n, x):
     """Pelz & Good's (1976) approximation to Pr(D_n <= x), 0 < x < 1.
 
@@ -335,29 +256,20 @@ def _kolmogn_pelz_good(n, x):
 
 
 def _kolmogn_sf(n: int, x) -> float:
-    """Pr(D_n >= x) for 1/(2n) < x < 1, choosing the method as Simard & L'Ecuyer do.
+    """Pr(D_n >= x) for n > 140, 1/(2n) < x < 1, choosing the method as Simard & L'Ecuyer do.
 
     x is a 0-d float64 array, as scipy passes it, so every operation on it
     runs the same numpy loop.
     """
     t = n * x
-    if t <= 1.0:  # Ruben-Gambino: the CDF is n!/n^n (2t-1)^n
-        # scipy takes a Stirling form above n = 140, but n!/n^n < 2^-54 from
-        # n = 41 on, so both give an SF of exactly 1.0 there
-        prob = np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1))
-        return _clip_prob(1.0 - prob)
+    if t <= 1.0:  # Ruben-Gambino: the CDF n!/n^n (2t-1)^n is below 2^-54 from n = 41 on
+        return 1.0
     if t >= n - 1:  # Ruben-Gambino
         return _clip_prob(2 * (1.0 - x) ** n)
     if x >= 0.5:  # exact: the two one-sided tails cannot meet
         return _clip_prob(2 * special.smirnov(n, x))
 
     nxsquared = t * x
-    if n <= 140:
-        if nxsquared <= 0.754693:
-            return _clip_prob(1.0 - _kolmogn_dmtw(n, x))
-        if nxsquared <= 4:
-            return _clip_prob(1.0 - _kolmogn_pomeranz(n, x))
-        return _clip_prob(2 * special.smirnov(n, x))  # Miller's approximation
     if nxsquared >= 370.0:
         return 0.0
     if nxsquared >= 2.2:
@@ -370,7 +282,7 @@ def _kolmogn_sf(n: int, x) -> float:
 
 
 def ks_uniform(values) -> tuple[float, float]:
-    """Two-sided one-sample KS test of values against Uniform[0, 1], exact p-value."""
+    """Two-sided one-sample KS test of KS_MIN_SIZE or more values against Uniform[0, 1]."""
     return ks_uniform_sorted(np.sort(np.asarray(values, dtype=np.float64)))
 
 
@@ -381,8 +293,8 @@ def ks_uniform_sorted(x: np.ndarray) -> tuple[float, float]:
     sample; each block's terms are those of the whole-array formula.
     """
     n = x.size
-    if n == 0:
-        raise ValueError("need at least one value")
+    if n < KS_MIN_SIZE:
+        raise ValueError(f"need at least {KS_MIN_SIZE} values, got {n}")
     np.clip(x, 0.0, 1.0, out=x)
     dplus = dminus = -np.inf
     for lo in range(0, n, _KS_BLOCK):

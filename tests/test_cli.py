@@ -10,13 +10,14 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import poset_secretary
 from poset_secretary import cli, engine, families, greedy, montecarlo, posetfile, posets
 from poset_secretary.cli import main
 from poset_secretary.engine import SIM_CAP
+
+from helpers import _a_ignores_arrival, _b_only, _members_ignore_t, _read_after_order
 
 
 @pytest.fixture
@@ -173,35 +174,6 @@ class TestExactMu:
         assert rows[-1] == {"element": (1 << k) - 1, "mu": "1"}
 
 
-def _members_ignore_t(bitw, upw, member, _scan=engine._passed_mask):
-    """Pinned-scan mutant: every element is a member, whatever its arrival time."""
-    return _scan(bitw, upw, np.ones_like(member))
-
-
-def _read_after_order(bitw, upw, member):
-    """Pinned-scan mutant: x's bit is read from the state after the whole order."""
-    state = np.full(bitw.shape[1], np.iinfo(bitw.dtype).max, dtype=bitw.dtype)
-    for w in range(len(bitw)):
-        go = ((state & bitw[w]) != 0) & member[w]
-        state = np.where(go, upw[w], state)
-    return state
-
-
-def _b_only(bits, up, blocks, posts, ao, wo, _kernel=engine._tag_sub_batch):
-    """Kernel mutant: test (b) alone.
-
-    One block of every element, with weights falling along the arrival
-    order: no arrival is earlier and lighter than x, so (a) always passes.
-    """
-    one_block = ((0, ao.shape[1]),)
-    return _kernel(bits, up, one_block, up.dtype.type(0), ao, np.ascontiguousarray(ao[:, ::-1]))
-
-
-def _a_ignores_arrival(bits, up, blocks, posts, ao, wo, _kernel=engine._tag_sub_batch):
-    """Kernel mutant: (a) over every lighter element, arrived or not, with the true (b)."""
-    return _kernel(bits, up, blocks, posts, wo, wo) & _b_only(bits, up, blocks, posts, ao, wo)
-
-
 class TestVerify:
     ARGS = ("--trials", "6000", "--seed", "5")
     PINNED = ("verify", "random:8:0.3:42", "--lemma", "4", "--trials", "200000", "--workers", "1")
@@ -302,8 +274,15 @@ class TestVerify:
     @pytest.mark.parametrize("bad", [("--seed", "-1"), ("--seed", str(1 << 64)), ("--workers", "0")],
                              ids=["negative_seed", "seed_over_64_bits", "no_workers"])
     def test_bad_seed_or_workers_is_exit_3(self, run, lemma, bad):
-        code, out, err = run("verify", "wedge", "--lemma", lemma, "--trials", "100", *bad)
+        # lemma 3 gets enough trials that its sample floor cannot be what refuses
+        trials = "1000" if lemma == "3" else "100"
+        code, out, err = run("verify", "wedge", "--lemma", lemma, "--trials", trials, *bad)
         assert code == 3 and out == "" and err
+
+    def test_a_lemma_3_sample_below_the_ks_floor_is_exit_3(self, run):
+        # 138 of the 150 trials have an arrival before t = 0.5
+        code, out, err = run("verify", "wedge", "--lemma", "3", "--trials", "150", "--seed", "0")
+        assert code == 3 and out == "" and "138 trials" in err and "141" in err
 
     # lemma 5 alone draws nothing and takes 0 trials, but no negative count
     @pytest.mark.parametrize("lemma", ["3", "4", "5"])
@@ -339,10 +318,10 @@ class TestGoldenBytes:
              "63b31487e9f8902b55105115ab406fbfef0e1732dbfbb5ea61adbf1e6b0dabb4"),
             (("exact-mu", "boolean:3", "--t", "1/2"),
              "c9f0383128017b003b75383909ec356115df9c3af69567e172c9ed548ff3988a"),
-            # KS samples of 92 and 100 values, n*D^2 = 0.35 and 0.84: the small-n
-            # DMTW and Pomeranz paths
-            (("verify", "wedge", "--lemma", "3", "--trials", "100", "--seed", "0"),
-             "053c61ce04365f7066562c3e370b0d036eb9ddcd28c80d58947dfbe115b39d22"),
+            # KS samples of 143 and 170 values, the smallest lemma 3 still tests:
+            # Pelz-Good at n*D^1.5 = 1.7 and 2.7
+            (("verify", "wedge", "--lemma", "3", "--trials", "170", "--seed", "1"),
+             "2ba3e96c99d57f2ddab1caf62ecc8216d20828ac791c378d4c4432e7e5cde277"),
             (("simulate", "chain:20", "--trials", "20000", "--seed", "3", "--format", "csv"),
              "c70824e0be291fd78bda4d76ee28e021a5bf3aaced34cf468ea902762732eda7"),
             (("sweep", "chain:5", "--taus", "0.1,0.3679,0.7", "--trials", "20000", "--seed", "3"),

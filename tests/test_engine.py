@@ -19,7 +19,6 @@ from poset_secretary.engine import (
     CHUNK_TRIALS,
     SIM_CAP,
     _SUB_BATCH,
-    _NO_TAG,
     _kernel_tables,
     _running_minimum,
     _series_ranks,
@@ -46,6 +45,8 @@ from poset_secretary.families import (
 from poset_secretary.greedy import WeightRanking, greedy_maximum
 from poset_secretary.posets import Poset, from_relations
 from poset_secretary.simulate import Trial, run_strategy, tag_sequence
+
+from helpers import tag_keys_of, time_keys_of
 
 POSETS = [
     chain(1),
@@ -375,17 +376,6 @@ class TestSimCap:
             batch_tag_matrix(antichain(SIM_CAP + 1), times, weights)
         with pytest.raises(TooLargeError, match="cap"):
             chunk_tags(antichain(SIM_CAP + 1), 0, 0, 1)
-
-
-def time_keys_of(times):
-    """The order keys of times on the 2^-53 grid, as a Piece makes them."""
-    k = (times * 2.0**53).astype(np.uint64)
-    return k << np.uint64(6) | np.arange(times.shape[1], dtype=np.uint64)
-
-
-def tag_keys_of(times, tagged):
-    """The (n, rows) tag keys of times on the 2^-53 grid and their tag flags."""
-    return np.where(tagged, time_keys_of(times), _NO_TAG).T
 
 
 def with_quarter_times(times):

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from poset_secretary import engine, greedy, montecarlo
+from poset_secretary import engine, greedy, montecarlo, pvalues
 from poset_secretary.engine import CHUNK_TRIALS, SIM_CAP, batch_tag_matrix
 from poset_secretary.errors import NotMaximalError, TooLargeError, ZeroTrialsError
 from poset_secretary.families import (
@@ -32,6 +32,7 @@ from poset_secretary.montecarlo import (
     LEMMAS,
     PINNED_TIMES,
     Estimate,
+    LemmaReport,
     _run_chunks,
     empirical_greedy_max,
     estimate_success,
@@ -46,8 +47,8 @@ from poset_secretary.montecarlo import (
 )
 from poset_secretary.posets import Poset
 from poset_secretary.simulate import Trial, tag_sequence
-from test_cli import _a_ignores_arrival, _b_only
-from test_engine import tag_keys_of, time_keys_of
+
+from helpers import _a_ignores_arrival, _b_only, tag_keys_of, time_keys_of
 
 TRIALS = 40_000
 
@@ -114,6 +115,18 @@ class TestEstimate:
         a = estimate_success(wedge(), 0.4, TRIALS, master_seed=3)
         b = estimate_success(wedge(), 0.4, TRIALS, master_seed=4)
         assert a.successes != b.successes
+
+    def test_a_non_integer_seed_is_refused_before_any_draw(self, monkeypatch):
+        # the Philox key is a uint64 word, which would truncate 1.5 to seed 1
+        want = estimate_success(chain(3), trials=5000, master_seed=1)
+        assert estimate_success(chain(3), trials=5000, master_seed=np.uint64(1)) == want
+
+        def no_draws(*args):
+            raise AssertionError("drew a chunk before checking the seed")
+
+        monkeypatch.setattr(engine, "_philox", no_draws)
+        with pytest.raises(TypeError, match="integer"):
+            estimate_success(chain(3), trials=5000, master_seed=1.5)
 
     def test_philox_draws_take_no_stable_sort(self, monkeypatch):
         # the Monte Carlo path orders rows by unique integer keys; only
@@ -369,10 +382,20 @@ class TestLastTagUniform:
         assert rep.sample_size < 5_000
 
     def test_t_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t must lie"):
             verify_last_tag_uniform(chain(2), 0.0, 100)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t must lie"):
             verify_last_tag_uniform(chain(2), 1.5, 100)
+
+    def test_a_sample_below_the_ks_floor_is_refused(self):
+        # at t = 1 every trial has an arrival before t, so trials = samples
+        assert pvalues.KS_MIN_SIZE == 141
+        with pytest.raises(ValueError, match=r"^140 trials .*t=1\.0.* 141"):
+            verify_last_tag_uniform(chain(1), 1.0, 140)
+        rep = verify_last_tag_uniform(chain(1), 1.0, 141)
+        ref = "uniform[0,1]"
+        assert rep == LemmaReport("last_tag_uniform[t=1.0]", 0.07299835229903917, ref,
+                                  0.42017718230944123, True, 141)
 
 
 class TestPinnedArrival:
@@ -579,6 +602,28 @@ class TestVerifyLemmas:
     def test_unknown_lemma_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             verify_lemmas(wedge(), ["2", "6"], trials=6_000)
+
+    def test_a_bare_string_names_one_lemma(self):
+        assert verify_lemmas(wedge(), "all", 3_000) == verify_lemmas(wedge(), LEMMAS, 3_000)
+        assert verify_lemmas(wedge(), "3", 3_000) == verify_lemmas(wedge(), ["3"], 3_000)
+        with pytest.raises(ValueError, match=r"unknown lemmas \['23'\]"):
+            verify_lemmas(random_poset(8, 0.3, seed=42), "23", 8_000)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, float("nan")])
+    def test_an_alpha_outside_0_1_is_refused_before_any_draw(self, monkeypatch, alpha):
+        def no_draws(*args):
+            raise AssertionError("drew a chunk before checking alpha")
+
+        monkeypatch.setattr(engine, "_philox", no_draws)
+        for call in (
+            partial(verify_lemmas, chain(3), ["2"], 5000),
+            partial(verify_lemmas, chain(3), ["5"], 0),
+            partial(verify_tag_marginals, chain(3), 5000),
+            partial(verify_tag_independence, chain(3), 5000),
+            partial(verify_last_tag_uniform, chain(3), 0.5, 5000),
+        ):
+            with pytest.raises(ValueError, match="alpha"):
+                call(alpha=alpha)
 
 
 def _exact(name):

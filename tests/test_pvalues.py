@@ -3,7 +3,9 @@
 So is montecarlo's Wilson-interval quantile, kept as a constant.  scipy.stats
 is imported here only as the oracle.  The inputs reach every
 branch of each algorithm: both sides of the binomial mode and the support
-ends, and each of the KS survival function's methods and cut-offs.
+ends, and each of the KS survival function's methods and cut-offs from its
+smallest sample, pvalues.KS_MIN_SIZE values, up.  Smaller samples, which
+reach SciPy's small-sample paths, must be refused.
 """
 
 import numpy as np
@@ -81,6 +83,17 @@ def assert_ks_matches(values):
     return got[0]
 
 
+def assert_ks_matches_or_is_refused(values):
+    """assert_ks_matches, or, below pvalues.KS_MIN_SIZE values, where SciPy
+    takes the small-sample paths this module does not carry, a refusal.
+    Returns kstest's D either way."""
+    if values.size >= pvalues.KS_MIN_SIZE:
+        return assert_ks_matches(values)
+    with pytest.raises(ValueError, match="at least 141 values"):
+        pvalues.ks_uniform(values)
+    return stats.kstest(values, "uniform").statistic
+
+
 def sample_with_d(n, d):
     """n sorted values in [0, 1] whose KS distance from Uniform[0, 1] is d (up to rounding)."""
     return np.clip((np.arange(n) + 0.5) / n + (d - 0.5 / n), 0.0, 1.0)
@@ -99,7 +112,7 @@ KS_CUTS += [(141, 141 * (a / 141) ** (4 / 3)) for a in (1.35, 1.45)]
 
 @pytest.mark.parametrize("n, c", KS_CUTS, ids=[f"n={n}-nx2={c}" for n, c in KS_CUTS])
 def test_ks_each_method_cut(n, c):
-    d = assert_ks_matches(sample_with_d(n, (c / n) ** 0.5))
+    d = assert_ks_matches_or_is_refused(sample_with_d(n, (c / n) ** 0.5))
     assert abs(n * d * d - c) < 1e-6 * c  # the sample sits on the intended side
 
 
@@ -112,30 +125,30 @@ def test_ks_edge_branches(n, where):
     d = {
         "t<=1": 0.75 / n,  # Ruben-Gambino: 1/(2n) < x <= 1/n
         "t>=n-1": (n - 0.5) / n,  # Ruben-Gambino: x >= (n-1)/n
-        "x>=0.5": 0.55,  # for n <= 16 Pomeranz would also apply
+        "x>=0.5": 0.55,
         "tiny-z": 2.0 / n,  # Pelz-Good's underflow exit when n > 100000
     }[where]
-    assert_ks_matches(sample_with_d(n, d))
+    assert_ks_matches_or_is_refused(sample_with_d(n, d))
 
 
 def test_ks_support_ends():
-    assert_ks_matches((np.arange(10) + 0.5) / 10)  # D = 1/(2n): p = 1
-    assert_ks_matches(np.zeros(5))  # D = 1: p = 0
-    assert_ks_matches(np.ones(7))
+    assert_ks_matches((np.arange(256) + 0.5) / 256)  # D = 1/(2n), exact in binary: p = 1
+    assert_ks_matches(np.zeros(141))  # D = 1: p = 0
+    assert_ks_matches(np.ones(142))
 
 
 def test_ks_random_samples():
     rng = np.random.default_rng(13)
-    for n in (1, 2, 5, 30, 88, 100, 139, 140, 141, 500, 3000):
+    for n in (141, 142, 500, 3000):
         for shape in (1.0, 0.7, 1.5):
             assert_ks_matches(rng.random(n) ** shape)
         assert_ks_matches(np.round(rng.random(n) * 8) / 8)  # ties and exact 0 and 1
 
 
 def test_ks_rejects_an_empty_sample():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 141 values"):
         pvalues.ks_uniform(np.array([]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 141 values"):
         pvalues.ks_uniform_sorted(np.array([]))
 
 
