@@ -13,10 +13,10 @@ that reads only the engine.Piece fields it needs, so a pass builds only
 those.  Tallies add over the pieces into one per chunk, and the chunks'
 tallies add into running totals as they arrive (_fold), so no list of
 per-chunk tallies is kept; lemma 3's samples fill a float64 buffer of
-fixed size, which its report divides, sorts and tests in place.  Times
-pass only as order keys.  Acceptance and the last tag before t read only
-Piece.tag_keys, so on a chain they sort nothing and build no tag matrix;
-the lemma-2 checks, which count by arrival position, read
+fixed size, allocated before the pass, which its report divides, sorts and
+tests in place.  Times pass only as order keys.  Acceptance and the last
+tag before t read only Piece.tag_keys, so on a chain they sort nothing and
+build no tag matrix; the lemma-2 checks, which count by arrival position, read
 Piece.arrival_tags.  Lemma 4's pinned check reads no tag flags, so it
 runs no tag kernel: engine.batch_pinned_tags runs one bitmask scan over
 the piece's series order per pinned time, shared by every maximal element.
@@ -59,10 +59,6 @@ import math
 import os
 import pickle
 import signal
-
-# Not used here: bound so that tools which patch montecarlo.ProcessPoolExecutor
-# (perfbench's tracer replaces it to time pools) still find the name.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -163,6 +159,18 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     center = (p_hat + z2 / (2.0 * trials)) / denom
     half = (_Z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
     return min(max(0.0, center - half), p_hat), max(min(1.0, center + half), p_hat)
+
+
+def __getattr__(name: str):
+    # No code here uses an executor.  perfbench's tracer still reads
+    # montecarlo.ProcessPoolExecutor to wrap it, so the name resolves on
+    # demand, and no command pays for importing concurrent.futures.process
+    # and multiprocessing.  Goes when the tracer stops reading it.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- chunked drivers ---------------------------------------------------------
@@ -290,17 +298,21 @@ class _Samples:
         return _Samples, (self.values, self.size)
 
 
-def _fold(tallies: Iterator[Sequence], size: int) -> list:
+def _fold(tallies: Iterator[Sequence], size: int, starts: Sequence = ()) -> list:
     """Add a stream of tally lists into running totals, position by position.
 
-    The first list starts the totals, each sample tally copied into a buffer
-    of `size` samples; every later one adds in place: an array adds, a
-    sample tally copies its samples in after the total's.
+    A position's total starts as its entry in `starts`, an empty total,
+    where that is given and not None; otherwise the first list starts it, a
+    sample tally copied into a buffer of `size` samples.  Tallies add into
+    it in place: an array adds, a sample tally copies its samples in after
+    the total's.
     """
     totals = []
-    for tally in next(tallies):
-        if isinstance(tally, _Samples):
+    for i, tally in enumerate(next(tallies)):
+        total = starts[i] if i < len(starts) else None
+        if total is None and isinstance(tally, _Samples):
             total = _Samples(np.empty(size), 0)
+        if total is not None:
             total += tally
             tally = total
         totals.append(tally)
@@ -327,22 +339,26 @@ def _run_checks(
     validated.  Sampled: the reducer runs on every piece, its chunk tallies
     add into a running total, and report turns that total into a list of
     results; checks sharing a reducer share its one total, which a report
-    may change in place only if no other check shares it.  Exact: reducer
-    None, report called with None.  The pass is drawn only for a sampled
-    check; seed, workers and trials are validated either way.
+    may change in place only if no other check shares it.  A sampled check
+    may add a third item, a function of no arguments that returns the
+    empty total: it is called before the pass, so a total too large to hold
+    is refused before any chunk is drawn.  Exact: reducer None, report
+    called with None.  The pass is drawn only for a sampled check; seed,
+    workers and trials are validated either way.
     """
     engine.check_seed(master_seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    reducers = tuple(dict.fromkeys(reduce for reduce, _ in checks if reduce is not None))
+    reducers = tuple(dict.fromkeys(reduce for reduce, *_ in checks if reduce is not None))
     totals = {None: None}
     if reducers:
+        starts = {check[0]: check[2]() for check in checks if len(check) > 2}
         chunks = _run_chunks(partial(_tag_chunk, p, reducers, master_seed), trials, workers)
-        totals.update(zip(reducers, _fold(chunks, trials)))
+        totals.update(zip(reducers, _fold(chunks, trials, [starts.get(r) for r in reducers])))
     reports = []
-    for reduce, report in checks:
+    for reduce, report, *_ in checks:
         reports += report(totals[reduce])
     return reports
 
@@ -568,7 +584,16 @@ def verify_tag_joint(p: Poset, master_seed: int = 0) -> LemmaReport:
     return _run_checks(p, [(None, partial(_joint_report, p, master_seed))], 0, master_seed, 1)[0]
 
 
-def _last_tag_check(p: Poset, t: float, alpha: float) -> tuple:
+def _sample_total(trials: int, t: float) -> _Samples:
+    """An empty total for lemma 3's samples at t: one float64 per trial."""
+    try:
+        return _Samples(np.empty(trials), 0)
+    except (MemoryError, ValueError):  # numpy refuses a size past its largest array with ValueError
+        raise ValueError(f"lemma 3 keeps its samples at t={t!r} in {8 * trials} bytes for "
+                         f"{trials} trials, more than can be allocated: decrease trials") from None
+
+
+def _last_tag_check(p: Poset, t: float, trials: int, alpha: float) -> tuple:
     engine.check_sim_cap(p.n)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
@@ -586,7 +611,7 @@ def _last_tag_check(p: Poset, t: float, alpha: float) -> tuple:
         ks, pval = pvalues.ks_uniform_sorted(values)
         return [_tested(f"last_tag_uniform[t={t!r}]", ks, "uniform[0,1]", pval, alpha, size)]
 
-    return partial(_last_tag_values, t), report
+    return partial(_last_tag_values, t), report, partial(_sample_total, trials, t)
 
 
 def verify_last_tag_uniform(
@@ -600,10 +625,12 @@ def verify_last_tag_uniform(
     """KS test: the last tag before time t, rescaled by 1/t, is Uniform[0,1].
 
     Conditioning is on at least one arrival before t (the first arrival is
-    always tagged, so the statistic then exists).  Raises ValueError, after
-    the pass, when fewer than pvalues.KS_MIN_SIZE trials have one.
+    always tagged, so the statistic then exists).  The samples take 8 bytes
+    per trial, allocated before the pass: ValueError, naming the bytes, when
+    they cannot be.  Raises ValueError, after the pass, when fewer than
+    pvalues.KS_MIN_SIZE trials have one.
     """
-    check = _last_tag_check(p, t, alpha)
+    check = _last_tag_check(p, t, trials, alpha)
     return _run_checks(p, [check], trials, master_seed, workers)[0]
 
 
@@ -677,7 +704,8 @@ def verify_lemmas(
     mu_t >= mu sweep over MONOTONICITY_GRID, an exact check.  A bare string
     names one lemma, "all" every one.  Alpha and every check are validated
     before any chunk is drawn, and reports come in check order; lemma 3
-    refuses, after the pass, fewer than pvalues.KS_MIN_SIZE samples at a t.
+    allocates its sample buffers before the pass, and refuses, after it,
+    fewer than pvalues.KS_MIN_SIZE samples at a t.
     Lemma 4's reports and lemma 5's sweep read one exact table.
     """
     if isinstance(lemmas, str):
@@ -691,7 +719,7 @@ def verify_lemmas(
         checks.append(_marginal_check(p, trials, alpha))
         checks.append(_independence_check(p, trials, alpha))
     if "3" in lemmas:
-        checks += [_last_tag_check(p, t, alpha) for t in LAST_TAG_TIMES]
+        checks += [_last_tag_check(p, t, trials, alpha) for t in LAST_TAG_TIMES]
     table = mu_exact(p) if "4" in lemmas or "5" in lemmas else None
     if "4" in lemmas:
         pins = [(x, t) for x in sorted(p.maximal) for t in PINNED_TIMES]

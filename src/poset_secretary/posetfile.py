@@ -9,6 +9,7 @@ writer emits the transitive reduction so files stay minimal and readable.
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import PosetFileError
 from .posets import Poset, from_relations, transitive_reduction
@@ -17,6 +18,14 @@ __all__ = ["parse_poset_relations", "parse_poset_text", "format_poset_text"]
 
 _HEADER = re.compile(r"^poset\s+n=(\d+)$")
 _RELATION = re.compile(r"^(\d+)\s*<\s*(\d+)$")
+
+
+def _number(digits: str, lineno: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise PosetFileError(f"line {lineno}: a number of {len(digits)} digits, past Python's "
+                             f"limit of {sys.get_int_max_str_digits()}") from None
 
 
 def parse_poset_relations(text: str) -> tuple[int, list[tuple[int, int]]]:
@@ -35,12 +44,12 @@ def parse_poset_relations(text: str) -> tuple[int, list[tuple[int, int]]]:
             m = _HEADER.match(line)
             if not m:
                 raise PosetFileError(f"line {lineno}: expected 'poset n=<N>' header, got {raw!r}")
-            n = int(m.group(1))
+            n = _number(m.group(1), lineno)
             continue
         m = _RELATION.match(line)
         if not m:
             raise PosetFileError(f"line {lineno}: expected '<a> < <b>', got {raw!r}")
-        pairs.append((int(m.group(1)), int(m.group(2))))
+        pairs.append((_number(m.group(1), lineno), _number(m.group(2), lineno)))
     if n is None:
         raise PosetFileError("missing 'poset n=<N>' header")
     return n, pairs

@@ -121,7 +121,10 @@ def chi2_2x2(table) -> tuple[float, float]:
 # -- one-sample Kolmogorov-Smirnov ---------------------------------------------
 
 KS_MIN_SIZE = 141  # the smallest sample ks_uniform tests: SciPy's exact small-n paths end at 140
-_KS_BLOCK = 1 << 15  # values per step of ks_uniform_sorted's D
+# values per step of ks_uniform_sorted's D: each step's float64 temporaries
+# take 32 KiB, below glibc's default 128-KiB mmap threshold, so they come
+# from the heap's free list and are not mapped and unmapped at every step
+_KS_BLOCK = 1 << 12
 
 _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)

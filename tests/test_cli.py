@@ -94,6 +94,15 @@ class TestSimulate:
         code, _, _ = run("simulate", str(f))
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["poset n=" + "9" * 5000 + "\n",
+                                      "poset n=2\n0 < " + "9" * 5000 + "\n"],
+                             ids=["header", "relation"])
+    def test_a_number_past_the_digit_limit_is_exit_2(self, run, tmp_path, text):
+        f = tmp_path / "long.poset"
+        f.write_text(text)
+        code, out, err = run("simulate", str(f))
+        assert code == 2 and out == "" and "a number of 5000 digits" in err
+
     def test_file_that_is_not_utf8_is_exit_2_naming_it(self, run, tmp_path):
         f = tmp_path / "bad.poset"
         f.write_bytes(b"\xff\xfe")
@@ -284,6 +293,19 @@ class TestVerify:
         code, out, err = run("verify", "wedge", "--lemma", "3", "--trials", "150", "--seed", "0")
         assert code == 3 and out == "" and "138 trials" in err and "141" in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_lemma_3_sample_too_large_to_hold_is_exit_3_before_any_draw(self, run, monkeypatch, workers):
+        # 8 * 10**15 bytes lie past the 128-TiB user address space of x86-64
+        # with 4-level paging and past any machine's RAM and swap, so the
+        # allocation fails at once and touches no memory
+        def no_draws(*args):
+            raise AssertionError("drew a chunk before allocating lemma 3's samples")
+
+        monkeypatch.setattr(engine, "chunk_tags", no_draws)
+        trials = str(10**15)
+        code, out, err = run("verify", "wedge", "--lemma", "3", "--trials", trials, "--workers", workers)
+        assert code == 3 and out == "" and f"{8 * 10**15} bytes" in err
+
     # lemma 5 alone draws nothing and takes 0 trials, but no negative count
     @pytest.mark.parametrize("lemma", ["3", "4", "5"])
     def test_negative_trials_is_exit_3(self, run, lemma):
@@ -406,7 +428,8 @@ class TestReplay:
 
 
 class TestImports:
-    """No command loads scipy.stats: its import alone outweighs a desk-scale run."""
+    """No command loads scipy.stats, whose import alone outweighs a desk-scale
+    run, or the process-pool executor and multiprocessing, which no code runs."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -415,6 +438,8 @@ class TestImports:
             ["sweep", "wedge", "--taus", "0.2,0.5", "--trials", "1000"],
             ["exact-mu", "wedge", "--t", "1/2"],
             ["verify", "wedge", "--lemma", "all", "--trials", "3000", "--workers", "1"],
+            pytest.param(["verify", "wedge", "--lemma", "all", "--trials", "40000", "--workers", "2"],
+                         id="verify-forked"),
         ],
         ids=lambda argv: argv[0],
     )
@@ -425,7 +450,8 @@ class TestImports:
             "from poset_secretary import cli\n"
             f"code = cli.main({argv!r})\n"
             "assert code == 0, code\n"
-            "assert 'scipy.stats' not in sys.modules\n"
+            "unused = ('scipy.stats', 'concurrent.futures.process', 'multiprocessing')\n"
+            "assert not [m for m in unused if m in sys.modules], sorted(sys.modules)\n"
         )
         src = str(Path(poset_secretary.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from poset_secretary.errors import CycleError, EmptyPosetError, PosetFileError
 from poset_secretary.families import boolean_lattice, chain, random_poset, wedge
-from poset_secretary.posetfile import format_poset_text, parse_poset_text
+from poset_secretary.posetfile import format_poset_text, parse_poset_relations, parse_poset_text
 from poset_secretary.posets import from_relations
 
 
@@ -48,6 +48,16 @@ def test_malformed_relation_line():
 def test_duplicate_header_is_a_bad_relation_line():
     with pytest.raises(PosetFileError, match="line 2"):
         parse_poset_text("poset n=2\nposet n=3\n")
+
+
+@pytest.mark.parametrize("text, lineno", [("poset n=" + "9" * 5000, 1),
+                                          ("poset n=2\n0 < 1\n" + "9" * 5000 + " < 1", 3),
+                                          ("poset n=2\n0 < " + "9" * 5000, 2)],
+                         ids=["header", "relation_left", "relation_right"])
+def test_a_number_past_the_digit_limit_is_a_file_error(text, lineno):
+    # int() refuses more than sys.get_int_max_str_digits() digits with ValueError
+    with pytest.raises(PosetFileError, match=f"line {lineno}: a number of 5000 digits"):
+        parse_poset_relations(text)
 
 
 def test_out_of_range_index_propagates():

@@ -8,6 +8,8 @@ smallest sample, pvalues.KS_MIN_SIZE values, up.  Smaller samples, which
 reach SciPy's small-sample paths, must be refused.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -163,6 +165,20 @@ def test_ks_sorted_core_across_its_blocks(n):
         got = pvalues.ks_uniform_sorted(x)
         assert same_bits(got[0], ks) and same_bits(got[1], pval)
         assert np.array_equal(x, np.clip(np.sort(values), 0.0, 1.0))  # clipped in place
+
+
+def test_ks_sorted_core_peaks_at_a_few_blocks_of_temporaries():
+    # each step's temporaries are two float64 blocks, below glibc's 128-KiB
+    # mmap threshold: the whole test stays on the heap whatever the sample size
+    x = np.sort(np.random.default_rng(5).random(200001))
+    tracemalloc.start()
+    try:
+        pvalues.ks_uniform_sorted(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * pvalues._KS_BLOCK * x.itemsize
+    assert peak < 2 * (256 << 10)
 
 
 def test_ks_uniform_leaves_its_argument_unchanged():
