@@ -11,10 +11,11 @@ parameters, master seed) and workers only decide who computes which chunk,
 never what comes out.  A chunk may be drawn in consecutive pieces of rows:
 the stream continues where the last piece ended, so the pieces are
 bit-identical to one whole-chunk draw.  chunk_tags yields a chunk in such
-pieces of _SUB_BATCH rows, each a Piece that holds only its raw words: its
-order keys, uint8 arrival and series orders, bool tag matrix and tag keys
-are built on first read, so a pass builds only what it reads, and nothing
-chunk-sized.  Its times are its order keys alone.
+pieces of _SUB_BATCH rows, each a Piece that holds only its raw words and
+the index of its first trial: its order keys, uint8 arrival and series
+orders, bool tag matrix and tag keys are built on first read, so a pass
+builds only what it reads, and nothing chunk-sized.  Its times are its
+order keys alone.
 
 The tag matrix gives the same flags as simulate.tag_sequence without running
 its greedy scan once per arrival prefix.  It is element-major: tagged[b, x]
@@ -215,17 +216,18 @@ def _key_order(keys: np.ndarray) -> np.ndarray:
 
 
 def _chunk_pieces(n: int, master_seed: int, chunk_index: int, rows: int):
-    """Yield one canonical chunk's raw words, _SUB_BATCH rows at a time, in row order.
+    """Yield one canonical chunk, _SUB_BATCH rows at a time, in row order.
 
-    A piece's words (m, 2n) hold each uniform's 53 bits, already shifted
-    right by 11: the same rows' times, then weights, of chunk_uniforms,
-    each being its word * 2^-53.
+    A piece is (first, words): first is the trial index of its first row,
+    by the randomness contract, and words (m, 2n) hold each uniform's 53
+    bits, already shifted right by 11: the same rows' times, then weights,
+    of chunk_uniforms, each being its word * 2^-53.
     """
     bitgen = _philox(master_seed, chunk_index).bit_generator
     for lo in range(0, rows, _SUB_BATCH):
         words = bitgen.random_raw((min(_SUB_BATCH, rows - lo), 2 * n))
         words >>= 11
-        yield words
+        yield chunk_index * CHUNK_TRIALS + lo, words
 
 
 def _stable_argsort(a: np.ndarray) -> np.ndarray:
@@ -337,13 +339,18 @@ class Piece:
     uint64 (n, m), holds x's time key in row x where x is tagged and
     _NO_TAG elsewhere.  On a chain tag_keys is the post rule's running
     minimum, each column the same keys, some repeated, and tagged is read
-    from it, so neither sorts.
+    from it, so neither sorts.  first, an int, is the trial index of the
+    piece's first row: its rows are trials first, first + 1, ...
     """
 
-    def __init__(self, tables: tuple, tail: np.ndarray, chain: np.ndarray | None, words: np.ndarray):
+    def __init__(
+        self, tables: tuple, tail: np.ndarray, chain: np.ndarray | None, first: int,
+        words: np.ndarray,
+    ):
         self._tables = tables
         self._tail = tail  # each key's low bits: the element's index, a weight's series rank
         self._chain = chain  # a chain's elements, bottom to top
+        self.first = first
         self._words = words
 
     @cached_property
@@ -408,7 +415,7 @@ def chunk_tags(p: Poset, master_seed: int, chunk_index: int, rows: int) -> Itera
     if not tables[2]:  # no block: every series part is a post
         chain = np.array([part[0] for part in p.series_parts])
     pieces = _chunk_pieces(p.n, master_seed, chunk_index, rows)
-    return (Piece(tables, tail, chain, words) for words in pieces)
+    return (Piece(tables, tail, chain, first, words) for first, words in pieces)
 
 
 def _running_minimum(time_keys: np.ndarray, order: np.ndarray) -> np.ndarray:

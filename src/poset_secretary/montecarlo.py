@@ -2,24 +2,27 @@
 
 Every routine here is a pure function of (poset, parameters, master seed):
 trials are drawn in canonical chunks (see engine), tallies are integer
-counts, added, or last-tag samples, copied in trial order into one buffer,
-so worker count is purely a speed knob.  Verification checks default to
-alpha=0.001 per test, with no family-wise control, so a suite of dozens of
-tests flags a correct implementation far more often than alpha.
+counts, added, and lemma 3's samples go to one slot per trial, so worker
+count is purely a speed knob.  Verification checks default to alpha=0.001
+per test, with no family-wise control, so a suite of dozens of tests flags
+a correct implementation far more often than alpha.
 
 One pass per chunk: each canonical chunk is drawn once, piece by piece
 (_tag_chunk, through engine.chunk_tags), and every statistic is a reducer
 that reads only the engine.Piece fields it needs, so a pass builds only
 those.  Tallies add over the pieces into one per chunk, and the chunks'
 tallies add into running totals as they arrive (_fold), so no list of
-per-chunk tallies is kept; lemma 3's samples fill a float64 buffer of
-fixed size, allocated before the pass, which its report divides, sorts and
-tests in place.  Times pass only as order keys.  Acceptance and the last
-tag before t read only Piece.tag_keys, so on a chain they sort nothing and
-build no tag matrix; the lemma-2 checks, which count by arrival position, read
-Piece.arrival_tags.  Lemma 4's pinned check reads no tag flags, so it
-runs no tag kernel: engine.batch_pinned_tags runs one bitmask scan over
-the piece's series order per pinned time, shared by every maximal element.
+per-chunk tallies is kept.  Lemma 3 writes each trial's sample into its
+own float64 slot (Piece.first is the trial index of a piece's first row)
+and tallies only their count; the slots, mapped shared when the check is
+built, are written by whichever process draws the chunk, and the report
+divides, sorts and tests them in place.  Times pass only as order keys.
+Acceptance and the last tag before t read only Piece.tag_keys, so on a
+chain they sort nothing and build no tag matrix; the lemma-2 checks, which
+count by arrival position, read Piece.arrival_tags.  Lemma 4's pinned
+check reads no tag flags, so it runs no tag kernel: engine.batch_pinned_tags
+runs one bitmask scan over the piece's series order per pinned time, shared
+by every maximal element.
 empirical_greedy_max is that check at t = 1: a maximal element pinned after
 every other arrival is tagged iff it is the greedy maximum.  Every scan
 lives in engine, and this module calls only its public names.  Every
@@ -27,11 +30,13 @@ estimate and check is an entry in the one list _run_checks runs: sampled,
 a (reducer, report) pair over one pass, or exact, with reducer None.
 
 With workers > 1 the chunks run on forked children, one pipe each
-(_run_chunks): child i computes chunks i, i + workers, ..., pickles each
-chunk's tallies into its pipe and blocks there until they are read, so it
-runs at most one chunk ahead; the parent computes none and reads the
-chunks back in chunk order.  Where os.fork does not exist they run
-in-process.  Either way the bytes out are the same.
+(_run_chunks): child i computes chunks i, i + workers, ... and pickles each
+chunk's tallies into its pipe, where it blocks once the pipe's buffer is
+full, so it runs ahead of the reader by at most what that buffer holds (a
+verify chunk's tallies are under 1 KiB), or by one chunk when a result is
+larger than the buffer; the parent computes none and reads the chunks back
+in chunk order.  Where os.fork does not exist they run in-process.  Either
+way the bytes out are the same.
 
 P-values come from pvalues: the exact two-sided binomial test for each tag
 marginal, Pearson's chi-square for pairwise independence, and the exact
@@ -180,9 +185,8 @@ def _run_chunks(task: Callable, trials: int, workers: int) -> Iterator:
     """Yield a per-chunk tally function's results over the canonical chunk layout.
 
     Results come in chunk order, each as soon as its chunk is done, so every
-    total, lemma 3's row-ordered float samples included, is
-    partition-independent.  With one worker, or where os.fork does not
-    exist, the chunks run in this process; otherwise on forked children
+    total is partition-independent.  With one worker, or where os.fork does
+    not exist, the chunks run in this process; otherwise on forked children
     (_forked_chunks): no more than chunks, or than usable CPUs.
     """
     if trials < 1:
@@ -207,8 +211,9 @@ def _forked_chunks(task: Callable, trials: int, cpus: Sequence) -> Iterator:
     Child i computes chunks c = i (mod children) in order, pinned to cpus[i]
     when that is a CPU number, and writes each result to its own pipe as one
     pickle; this process computes none and reads chunk c from child
-    c mod children.  A child blocks on its pipe until its last chunk is read
-    (bar the pipe's buffer), so it runs at most one chunk ahead.  A task's
+    c mod children.  A child blocks on its pipe once the pipe's buffer is
+    full, so it runs ahead of the reader by at most a buffer's worth of
+    results, or one chunk when a result is larger than the buffer.  A task's
     exception is raised here, and a child that dies before sending a chunk
     makes this raise RuntimeError.  However the pass ends, every child is
     killed and reaped.
@@ -272,50 +277,13 @@ def _serve(task: Callable, trials: int, i: int, workers: int, cpu, fd: int) -> N
             out.flush()
 
 
-class _Samples:
-    """Last-tag samples in trial order: the front of a float64 buffer of fixed size.
-
-    `+=` copies another tally's samples in after its own; the buffer never
-    grows.  A pickled tally carries only its samples.
-    """
-
-    __slots__ = ("buffer", "size")
-
-    def __init__(self, buffer: np.ndarray, size: int):
-        self.buffer, self.size = buffer, size
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.buffer[: self.size]
-
-    def __iadd__(self, other: _Samples) -> _Samples:
-        end = self.size + other.size
-        self.buffer[self.size : end] = other.values
-        self.size = end
-        return self
-
-    def __reduce__(self):
-        return _Samples, (self.values, self.size)
-
-
-def _fold(tallies: Iterator[Sequence], size: int, starts: Sequence = ()) -> list:
+def _fold(tallies: Iterator[Sequence]) -> list:
     """Add a stream of tally lists into running totals, position by position.
 
-    A position's total starts as its entry in `starts`, an empty total,
-    where that is given and not None; otherwise the first list starts it, a
-    sample tally copied into a buffer of `size` samples.  Tallies add into
-    it in place: an array adds, a sample tally copies its samples in after
-    the total's.
+    Every tally is an integer array: the first list starts the totals, and
+    each later one adds into them in place.
     """
-    totals = []
-    for i, tally in enumerate(next(tallies)):
-        total = starts[i] if i < len(starts) else None
-        if total is None and isinstance(tally, _Samples):
-            total = _Samples(np.empty(size), 0)
-        if total is not None:
-            total += tally
-            tally = total
-        totals.append(tally)
+    totals = list(next(tallies))
     for tally in tallies:
         for total, more in zip(totals, tally):
             total += more
@@ -327,7 +295,7 @@ def _tag_chunk(
 ) -> list:
     """Draw and tag one canonical chunk; one tally per reducer, added over its pieces."""
     pieces = engine.chunk_tags(p, master_seed, chunk, rows)
-    return _fold(([reduce(piece) for reduce in reducers] for piece in pieces), rows)
+    return _fold([reduce(piece) for reduce in reducers] for piece in pieces)
 
 
 def _run_checks(
@@ -338,27 +306,21 @@ def _run_checks(
     A check is a (reducer, report) pair, built only after its parameters are
     validated.  Sampled: the reducer runs on every piece, its chunk tallies
     add into a running total, and report turns that total into a list of
-    results; checks sharing a reducer share its one total, which a report
-    may change in place only if no other check shares it.  A sampled check
-    may add a third item, a function of no arguments that returns the
-    empty total: it is called before the pass, so a total too large to hold
-    is refused before any chunk is drawn.  Exact: reducer None, report
-    called with None.  The pass is drawn only for a sampled check; seed,
-    workers and trials are validated either way.
+    results; checks sharing a reducer share its one total.  Exact: reducer
+    None, report called with None.  The pass is drawn only for a sampled
+    check; seed, workers and trials are validated either way.
     """
     engine.check_seed(master_seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    reducers = tuple(dict.fromkeys(reduce for reduce, *_ in checks if reduce is not None))
+    _check_trials(trials)
+    reducers = tuple(dict.fromkeys(reduce for reduce, _ in checks if reduce is not None))
     totals = {None: None}
     if reducers:
-        starts = {check[0]: check[2]() for check in checks if len(check) > 2}
         chunks = _run_chunks(partial(_tag_chunk, p, reducers, master_seed), trials, workers)
-        totals.update(zip(reducers, _fold(chunks, trials, [starts.get(r) for r in reducers])))
+        totals.update(zip(reducers, _fold(chunks)))
     reports = []
-    for reduce, report, *_ in checks:
+    for reduce, report in checks:
         reports += report(totals[reduce])
     return reports
 
@@ -381,10 +343,10 @@ def _tag_pair_counts(piece: engine.Piece) -> np.ndarray:
     return (flags @ flags.T).astype(np.int64)
 
 
-def _last_tag_values(t, piece: engine.Piece) -> _Samples:
+def _last_tag_slots(t, slots: np.ndarray, piece: engine.Piece) -> np.ndarray:
     vals = engine.batch_last_tag_time(piece.tag_keys, t)
-    vals = vals[~np.isnan(vals)]
-    return _Samples(vals, vals.size)
+    slots[piece.first : piece.first + vals.size] = vals  # NaN where no arrival precedes t
+    return np.array(np.count_nonzero(~np.isnan(vals)), dtype=np.int64)
 
 
 def _pinned_hits(p, pins, piece: engine.Piece) -> np.ndarray:
@@ -460,6 +422,11 @@ def empirical_greedy_max(
 
 
 # -- verification -------------------------------------------------------------
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -584,34 +551,40 @@ def verify_tag_joint(p: Poset, master_seed: int = 0) -> LemmaReport:
     return _run_checks(p, [(None, partial(_joint_report, p, master_seed))], 0, master_seed, 1)[0]
 
 
-def _sample_total(trials: int, t: float) -> _Samples:
-    """An empty total for lemma 3's samples at t: one float64 per trial."""
-    try:
-        return _Samples(np.empty(trials), 0)
-    except (MemoryError, ValueError):  # numpy refuses a size past its largest array with ValueError
-        raise ValueError(f"lemma 3 keeps its samples at t={t!r} in {8 * trials} bytes for "
-                         f"{trials} trials, more than can be allocated: decrease trials") from None
-
-
 def _last_tag_check(p: Poset, t: float, trials: int, alpha: float) -> tuple:
+    """Lemma 3's check at t, with its slots: one float64 per trial, mapped here.
+
+    The slots lie in an anonymous shared mapping, so a forked child writes
+    its chunks' values into the pages this process reads, and no sample
+    travels through a pipe.  Each slot is written by one chunk, before that
+    chunk's tally is sent, and the report reads them after every tally has
+    arrived.
+    """
+    import mmap
+
     engine.check_sim_cap(p.n)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
     _check_alpha(alpha)
+    _check_trials(trials)
+    try:  # mmap refuses a length of 0; the pass refuses zero trials
+        slots = np.frombuffer(mmap.mmap(-1, 8 * max(trials, 1)))[:trials]
+    except (OSError, OverflowError, ValueError):
+        raise ValueError(f"lemma 3 keeps its samples at t={t!r} in {8 * trials} bytes for "
+                         f"{trials} trials, more than can be allocated: decrease trials") from None
 
-    def report(samples):
-        # each check binds its own reducer, so this buffer is the report's own
-        values = samples.values
-        size = int(values.size)
+    def report(count):
+        # numpy sorts NaN last, so the first count slots are the sorted sample
+        size = int(count)
         if size < pvalues.KS_MIN_SIZE:
             raise ValueError(f"{size} trials had an arrival before t={t!r}; the KS test "
                              f"needs {pvalues.KS_MIN_SIZE}: increase trials")
-        values /= t
-        values.sort()
-        ks, pval = pvalues.ks_uniform_sorted(values)
+        np.divide(slots, t, out=slots)
+        slots.sort()
+        ks, pval = pvalues.ks_uniform_sorted(slots[:size])
         return [_tested(f"last_tag_uniform[t={t!r}]", ks, "uniform[0,1]", pval, alpha, size)]
 
-    return partial(_last_tag_values, t), report, partial(_sample_total, trials, t)
+    return partial(_last_tag_slots, t, slots), report
 
 
 def verify_last_tag_uniform(
@@ -626,7 +599,7 @@ def verify_last_tag_uniform(
 
     Conditioning is on at least one arrival before t (the first arrival is
     always tagged, so the statistic then exists).  The samples take 8 bytes
-    per trial, allocated before the pass: ValueError, naming the bytes, when
+    per trial, mapped before the pass: ValueError, naming the bytes, when
     they cannot be.  Raises ValueError, after the pass, when fewer than
     pvalues.KS_MIN_SIZE trials have one.
     """
@@ -704,8 +677,8 @@ def verify_lemmas(
     mu_t >= mu sweep over MONOTONICITY_GRID, an exact check.  A bare string
     names one lemma, "all" every one.  Alpha and every check are validated
     before any chunk is drawn, and reports come in check order; lemma 3
-    allocates its sample buffers before the pass, and refuses, after it,
-    fewer than pvalues.KS_MIN_SIZE samples at a t.
+    maps its sample slots before the pass, and refuses, after it, fewer
+    than pvalues.KS_MIN_SIZE samples at a t.
     Lemma 4's reports and lemma 5's sweep read one exact table.
     """
     if isinstance(lemmas, str):

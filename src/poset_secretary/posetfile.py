@@ -32,11 +32,11 @@ def parse_poset_relations(text: str) -> tuple[int, list[tuple[int, int]]]:
     """The header's n and the relation pairs of a poset document, nothing built.
 
     Syntax problems raise PosetFileError; indices are checked when the pairs
-    are built into a poset.
+    are built into a poset.  One leading byte-order mark is skipped.
     """
     n = None
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

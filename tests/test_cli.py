@@ -88,6 +88,16 @@ class TestSimulate:
         # identical poset, identical stream; only the embedded source differs
         assert (json.loads(out_file)["results"] == json.loads(out_gen)["results"])
 
+    def test_a_file_with_a_byte_order_mark_reads_as_the_plain_file(self, run, tmp_path):
+        plain, marked = tmp_path / "plain.poset", tmp_path / "marked.poset"
+        plain.write_text("poset n=3\n0 < 1\n0 < 2\n", encoding="utf-8")
+        marked.write_text("poset n=3\n0 < 1\n0 < 2\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        code_plain, out_plain, _ = run("simulate", str(plain), "--trials", "500")
+        code_marked, out_marked, _ = run("simulate", str(marked), "--trials", "500")
+        assert code_plain == code_marked == 0
+        assert json.loads(out_marked)["results"] == json.loads(out_plain)["results"]
+
     def test_malformed_file_is_exit_2(self, run, tmp_path):
         f = tmp_path / "bad.poset"
         f.write_text("not a poset\n")
@@ -429,7 +439,9 @@ class TestReplay:
 
 class TestImports:
     """No command loads scipy.stats, whose import alone outweighs a desk-scale
-    run, or the process-pool executor and multiprocessing, which no code runs."""
+    run, or the process-pool executor and multiprocessing, which no code runs.
+    mmap is loaded by verify, for lemma 3's sample slots, and by no other
+    command."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -444,14 +456,16 @@ class TestImports:
         ids=lambda argv: argv[0],
     )
     def test_command_runs_without_scipy_stats(self, argv):
+        unused = ("scipy.stats", "concurrent.futures.process", "multiprocessing")
+        slots = argv[0] == "verify"  # every verify here runs lemma 3
         script = (
             "import sys\n"
             "import poset_secretary\n"
             "from poset_secretary import cli\n"
             f"code = cli.main({argv!r})\n"
             "assert code == 0, code\n"
-            "unused = ('scipy.stats', 'concurrent.futures.process', 'multiprocessing')\n"
-            "assert not [m for m in unused if m in sys.modules], sorted(sys.modules)\n"
+            f"assert not [m for m in {unused!r} if m in sys.modules], sorted(sys.modules)\n"
+            f"assert ('mmap' in sys.modules) == {slots!r}, sorted(sys.modules)\n"
         )
         src = str(Path(poset_secretary.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -6,6 +6,7 @@ the million-trial battery lives in the acceptance tests.
 
 import itertools
 import math
+import mmap
 import os
 import pickle
 import tracemalloc
@@ -348,27 +349,44 @@ class TestIndependence:
 
 class TestLastTagUniform:
     @pytest.mark.parametrize("t", LAST_TAG_TIMES)
-    def test_a_chunk_tally_is_its_samples_in_row_order(self, t):
-        # two pieces, joined in row order: the kernel's values on the whole
-        # chunk draw, the trials with no arrival before t left out
+    def test_a_chunk_fills_its_trials_slots_and_counts(self, t):
+        # two pieces, each written at its own trials' slots: the kernel's
+        # values on the whole chunk draw, NaN where no arrival precedes t
         p, seed, chunk, rows = random_poset(8, 0.3, seed=42), 5, 2, engine._SUB_BATCH + 5
+        first = chunk * CHUNK_TRIALS
+        slots = np.full(first + rows + 7, -1.0)
         pieces = []
 
         def reduce(piece):
             pieces.append(piece)
-            return montecarlo._last_tag_values(t, piece)
+            return montecarlo._last_tag_slots(t, slots, piece)
 
-        [samples] = montecarlo._tag_chunk(p, (reduce,), seed, chunk, rows)
+        [count] = montecarlo._tag_chunk(p, (reduce,), seed, chunk, rows)
         times, weights = engine.chunk_uniforms(p.n, seed, chunk, rows)
         _, tagged = batch_tag_matrix(p, times, weights)
         want = engine.batch_last_tag_time(tag_keys_of(times, tagged), t)
-        assert len(pieces) == 2
-        assert samples.buffer.size == rows  # one buffer of the chunk's rows, filled in order
-        got = samples.values
-        assert np.array_equal(got.view(np.uint64), want[~np.isnan(want)].view(np.uint64))
-        # a chunk's tally travels from a pool worker as its samples alone
-        sent = pickle.loads(pickle.dumps(samples))
-        assert sent.buffer.size == samples.size and np.array_equal(sent.values, got)
+        assert [piece.first for piece in pieces] == [first, first + engine._SUB_BATCH]
+        got = slots[first : first + rows]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(want).any() == (t < 1.0)  # at t = 1 every trial has a value
+        assert (slots[:first] == -1.0).all() and (slots[first + rows :] == -1.0).all()
+        assert count.dtype == np.int64 and count == np.count_nonzero(~np.isnan(want))
+
+    def test_a_verify_chunk_tally_pickles_to_under_4_kib(self, monkeypatch):
+        # every tally a forked worker sends is counts: lemma 3's samples stay
+        # in their slots
+        sizes = []
+        run_chunks = montecarlo._run_chunks
+
+        def measured(task, trials, workers):
+            for tally in run_chunks(task, trials, workers):
+                sizes.append(len(pickle.dumps(tally)))
+                yield tally
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", measured)
+        p = parse_generator_spec("random:8:0.3:42").build()
+        verify_lemmas(p, "all", 2 * CHUNK_TRIALS, master_seed=3)
+        assert len(sizes) == 2 and max(sizes) < 4096
 
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_uniform_on_null(self, t):
@@ -757,7 +775,8 @@ class TestChunkFootprint:
         reducers = (
             partial(montecarlo._success_counts, p.is_maximal, (0.25, 0.3679)),
             montecarlo._tag_pair_counts,
-            *(partial(montecarlo._last_tag_values, t) for t in LAST_TAG_TIMES),
+            # lemma 3's reducers, each bound to its t's slots, mapped here
+            *(montecarlo._last_tag_check(p, t, CHUNK_TRIALS, 0.001)[0] for t in LAST_TAG_TIMES),
             partial(montecarlo._pinned_hits, p, pins),
             # empirical_greedy_max's reducer: every maximal element pinned at 1
             partial(montecarlo._pinned_hits, p, [(x, 1.0) for x in sorted(p.maximal)]),
@@ -772,11 +791,21 @@ class TestChunkFootprint:
 
 
 class TestLastTagFootprint:
-    def test_lemma_3_totals_peak_below_two_sample_buffers_and_a_chunk(self):
-        # each t's samples fill one float64 buffer of `trials`, which its
-        # report divides, sorts and tests in place; the rest is one chunk
-        # pass's working set
+    def test_lemma_3_maps_its_slots_and_traces_below_a_chunk(self, monkeypatch):
+        # each t's samples go to one float64 slot per trial, in an anonymous
+        # mapping that its report divides, sorts and tests in place, and that
+        # tracemalloc cannot see; what it sees is one chunk pass's working
+        # set, below the chunk's float64 times
         p, trials = random_poset(8, 0.3, seed=42), 8 * CHUNK_TRIALS
+        itemsize = np.dtype(np.float64).itemsize
+        mapped = []
+        real_mmap = mmap.mmap
+
+        def recorded(fileno, length, *args, **kwargs):
+            mapped.append(length)
+            return real_mmap(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", recorded)
         tracemalloc.start()
         try:
             reports = verify_lemmas(p, ["3"], trials, workers=1)
@@ -784,8 +813,8 @@ class TestLastTagFootprint:
         finally:
             tracemalloc.stop()
         assert len(reports) == len(LAST_TAG_TIMES)
-        itemsize = np.dtype(np.float64).itemsize
-        assert peak < 2 * itemsize * trials + CHUNK_TRIALS * p.n * itemsize
+        assert mapped == [itemsize * trials] * len(LAST_TAG_TIMES)
+        assert peak < CHUNK_TRIALS * p.n * itemsize
 
 
 class TestDeterminismAcrossChunks:

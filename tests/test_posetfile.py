@@ -13,6 +13,15 @@ def test_parse_basic_document():
     assert p == wedge()
 
 
+def test_a_leading_byte_order_mark_is_skipped():
+    assert parse_poset_text("\ufeffposet n=3\n0 < 1\n0 < 2\n") == wedge()
+    # only one, and only at the start
+    with pytest.raises(PosetFileError, match="line 1"):
+        parse_poset_text("\ufeff\ufeffposet n=3\n")
+    with pytest.raises(PosetFileError, match="line 2"):
+        parse_poset_text("poset n=3\n\ufeff0 < 1\n")
+
+
 def test_comments_and_blank_lines_ignored():
     text = """
     # a wedge
